@@ -18,12 +18,14 @@ from .connectivity import bridges, cut_vertices, vertex_connectivity
 from .decomposition import biconnected_components, triconnected_components
 from .errors import (
     DisconnectedError,
+    DuplicateEdgeError,
     GraphParseError,
     InconsistentMeasurementsError,
     LinkscopeError,
     NotFoundError,
     NotInteriorError,
     PathExplosionError,
+    SelfLoopError,
     TooFewMonitorsError,
     TooLargeError,
     TooSmallError,
@@ -101,7 +103,12 @@ def _load_weights(path: str, g: Graph) -> MetricAssignment:
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise GraphParseError(f"malformed weight line {line!r}", lineno) from None
-            mapping[(u, v)] = value
+            if u == v:
+                raise SelfLoopError(f"self-loop at node {u}", lineno)
+            link = edge(u, v)
+            if link in mapping:
+                raise DuplicateEdgeError(f"duplicate weight for link {u} {v}", lineno)
+            mapping[link] = value
     return MetricAssignment.for_graph(g, mapping)
 
 

@@ -1,10 +1,14 @@
 """Bridges, cut vertices and k-connectivity tests.
 
-Bridges and cut vertices use the usual DFS lowpoint computation.  The
-k-connectivity predicates enumerate deletion subsets directly: callers only
-ever need k <= 3 on desk-scale graphs, and enumeration keeps the logic close
-to the definition (an independent Menger-style oracle cross-checks it in the
-test suite).
+Bridges and cut vertices use the usual iterative DFS lowpoint computation
+(Hopcroft & Tarjan, 1973).  Either DFS can run on the graph with one edge
+skipped or one node deleted, without building that graph.  The
+k-connectivity predicates are built on them: 2-vertex-connected means no cut
+vertex, 3-vertex-connected adds that no G - v has a cut vertex, and
+3-edge-connected means no G - e has a bridge.  Deletions of three or more
+nodes or edges, needed only for k >= 4, are enumerated directly.  An
+independent Menger-style oracle cross-checks the predicates in the test
+suite.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DisconnectedError
-from .graph import Edge, Graph, connected_without, edge, is_connected, remove_edge
+from .graph import Edge, Graph, connected_without, edge, is_connected
 
 
 def _require_connected(g: Graph) -> None:
@@ -26,38 +30,48 @@ def bridges(g: Graph) -> frozenset[Edge]:
     return _bridges_any(g)
 
 
-def _bridges_any(g: Graph) -> frozenset[Edge]:
-    """Bridge set of an arbitrary graph, per component; iterative lowpoint DFS."""
+def _bridges_any(g: Graph, skip: Edge | None = None) -> frozenset[Edge]:
+    """Bridge set of an arbitrary graph, per component; iterative lowpoint
+    DFS.  With `skip`, the bridges of the graph minus that edge."""
+    adj = g.adj
+    if skip is not None:
+        a, b = skip
+        adj = dict(adj)
+        adj[a] = adj[a] - {b}
+        adj[b] = adj[b] - {a}
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: set[Edge] = set()
     counter = 0
-    for root in g.sorted_nodes():
+    # the result is a set, so the DFS may visit nodes in any order
+    for root in adj:
         if root in disc:
             continue
-        # stack entries: (node, parent, iterator over sorted neighbours)
+        # stack entries: (node, parent, iterator over neighbours)
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             u, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if w == parent:
                     continue
-                if w in disc:
-                    low[u] = min(low[u], disc[w])
+                d = disc.get(w)
+                if d is not None:
+                    if d < low[u]:
+                        low[u] = d
                     continue
                 disc[w] = low[w] = counter
                 counter += 1
-                stack.append((w, u, iter(sorted(g.adj[w]))))
-                advanced = True
+                stack.append((w, u, iter(adj[w])))
                 break
-            if not advanced:
+            else:
                 stack.pop()
                 if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
+                    lu = low[u]
+                    if lu < low[parent]:
+                        low[parent] = lu
+                    if lu > disc[parent]:
                         out.add(edge(parent, u))
     return frozenset(out)
 
@@ -68,39 +82,48 @@ def cut_vertices(g: Graph) -> frozenset[int]:
     return _cut_vertices_any(g)
 
 
-def _cut_vertices_any(g: Graph) -> frozenset[int]:
+def _cut_vertices_any(g: Graph, deleted: int | None = None) -> frozenset[int]:
+    """Cut vertices of an arbitrary graph, per component; iterative lowpoint
+    DFS.  With `deleted`, the cut vertices of the graph minus that node."""
+    adj = g.adj
+    if deleted is not None:
+        adj = dict(adj)
+        for x in adj.pop(deleted):
+            adj[x] = adj[x] - {deleted}
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: set[int] = set()
     counter = 0
-    for root in g.sorted_nodes():
+    for root in adj:
         if root in disc:
             continue
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             u, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if w == parent:
                     continue
-                if w in disc:
-                    low[u] = min(low[u], disc[w])
+                d = disc.get(w)
+                if d is not None:
+                    if d < low[u]:
+                        low[u] = d
                     continue
                 disc[w] = low[w] = counter
                 counter += 1
                 if u == root:
                     root_children += 1
-                stack.append((w, u, iter(sorted(g.adj[w]))))
-                advanced = True
+                stack.append((w, u, iter(adj[w])))
                 break
-            if not advanced:
+            else:
                 stack.pop()
                 if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if parent != root and low[u] >= disc[parent]:
+                    lu = low[u]
+                    if lu < low[parent]:
+                        low[parent] = lu
+                    if parent != root and lu >= disc[parent]:
                         out.add(parent)
         if root_children > 1:
             out.add(root)
@@ -116,8 +139,14 @@ def is_k_vertex_connected(g: Graph, k: int) -> bool:
         return False
     if not is_connected(g):
         return False
+    if k >= 2 and _cut_vertices_any(g):
+        return False
+    # G - v is connected (no cut vertex), so a cut vertex of it is the
+    # second node of a disconnecting pair
     nodes = g.sorted_nodes()
-    for r in range(1, k):
+    if k >= 3 and any(_cut_vertices_any(g, v) for v in nodes):
+        return False
+    for r in range(3, k):
         for subset in combinations(nodes, r):
             if not connected_without(g, frozenset(subset)):
                 return False
@@ -138,10 +167,7 @@ def is_k_edge_connected(g: Graph, k: int) -> bool:
         return True
     if k == 3:
         # no single edge is a bridge, so check bridges of every g - e
-        for e in g.sorted_edges():
-            if _bridges_any(remove_edge(g, e)):
-                return False
-        return True
+        return not any(_bridges_any(g, e) for e in g.sorted_edges())
     edges = g.sorted_edges()
     for r in range(2, k):
         for subset in combinations(edges, r):

@@ -14,7 +14,6 @@ from .errors import (
     DuplicateEdgeError,
     GraphParseError,
     InvalidCycleError,
-    InvalidPathError,
     NotFoundError,
     SelfLoopError,
 )
@@ -232,12 +231,6 @@ def is_simple_path(g: Graph, path: Path) -> bool:
     return all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
-def validate_path(g: Graph, path: Path) -> Path:
-    if not is_simple_path(g, path):
-        raise InvalidPathError(f"not a simple path of the graph: {path}")
-    return tuple(path)
-
-
 def is_cycle(g: Graph, cycle: Cycle) -> bool:
     """At least 3 distinct nodes, cyclically adjacent (wrap-around included)."""
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
@@ -338,28 +331,31 @@ def iter_simple_paths(
 ) -> Iterator[Path]:
     """Yield every simple path src..dst whose internal nodes avoid the given
     set.  Neighbour expansion is sorted, so the yield order is deterministic
-    (lexicographic by node sequence)."""
+    (lexicographic by node sequence).  The walk keeps an explicit stack of
+    neighbour iterators, so path length is not bounded by the recursion
+    limit."""
     if src not in g.nodes or dst not in g.nodes:
         raise NotFoundError("path endpoints must be graph nodes")
     if src == dst:
         yield (src,)
         return
+    adj = g.adj
     path = [src]
     on_path = {src}
-
-    def _walk(u: int) -> Iterator[Path]:
-        for w in sorted(g.adj[u]):
+    stack = [iter(sorted(adj[src]))]
+    while stack:
+        for w in stack[-1]:
             if w in on_path:
                 continue
             if w == dst:
-                yield tuple(path) + (dst,)
+                yield (*path, dst)
                 continue
             if w in forbidden_internal:
                 continue
             path.append(w)
             on_path.add(w)
-            yield from _walk(w)
-            path.pop()
-            on_path.remove(w)
-
-    yield from _walk(src)
+            stack.append(iter(sorted(adj[w])))
+            break
+        else:
+            stack.pop()
+            on_path.remove(path.pop())

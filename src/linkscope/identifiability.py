@@ -35,7 +35,6 @@ from .graph import (
     is_connected,
     iter_simple_paths,
     path_edges,
-    validate_path,
 )
 from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
 
@@ -87,7 +86,9 @@ class IdentifiabilityReport:
 # exact elimination over the rationals, kept in integers
 
 
-def _gcd_normalize(row: list[int], pivot: int, rhs: Fraction) -> tuple[list[int], Fraction]:
+def _gcd_normalize(
+    row: list[int], pivot: int, rhs: Fraction | None
+) -> tuple[list[int], Fraction | None]:
     g = 0
     for x in row:
         if x:
@@ -96,7 +97,7 @@ def _gcd_normalize(row: list[int], pivot: int, rhs: Fraction) -> tuple[list[int]
         return row, rhs
     if row[pivot] < 0:
         g = -g
-    return [x // g for x in row], rhs / g
+    return [x // g for x in row], None if rhs is None else rhs / g
 
 
 class _Reducer:
@@ -113,7 +114,7 @@ class _Reducer:
         self.with_rhs = with_rhs
         self.pivots: list[int] = []
         self.basis: list[list[int]] = []
-        self.rhs: list[Fraction] = []
+        self.rhs: list[Fraction | None] = []  # all None without RHS
 
     @property
     def rank(self) -> int:
@@ -121,7 +122,7 @@ class _Reducer:
 
     def add(self, row: tuple[int, ...] | list[int], rhs: Fraction = Fraction(0)) -> bool:
         work = list(row)
-        acc = rhs
+        acc = rhs if self.with_rhs else None
         for i, pcol in enumerate(self.pivots):
             a = work[pcol]
             if a:
@@ -190,17 +191,28 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
 
 
 def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
-    """0/1 incidence of edges on paths; columns in canonical edge order."""
+    """0/1 incidence of edges on paths; columns in canonical edge order.
+
+    Each path is checked in the pass that sets its row: it must have at
+    least one edge, no repeated node, and every step must be a graph edge
+    (which also keeps out nodes the graph does not have)."""
     cols = tuple(g.sorted_edges())
-    index = {e: i for i, e in enumerate(cols)}
+    # both orientations, so a step is looked up without normalising it
+    index = {}
+    for i, (u, v) in enumerate(cols):
+        index[u, v] = index[v, u] = i
     rows = []
     for p in paths:
-        validate_path(g, p)
         if len(p) < 2:
             raise InvalidPathError(f"measurement path must have at least one edge: {p}")
+        if len(set(p)) != len(p):
+            raise InvalidPathError(f"not a simple path of the graph: {p}")
         row = [0] * len(cols)
-        for e in path_edges(p):
-            row[index[e]] = 1
+        for step in zip(p, p[1:]):
+            i = index.get(step)
+            if i is None:
+                raise InvalidPathError(f"not a simple path of the graph: {p}")
+            row[i] = 1
         rows.append(tuple(row))
     return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, tuple(rows))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .connectivity import is_k_edge_connected, is_k_vertex_connected
+from .connectivity import _bridges_any, is_k_edge_connected, is_k_vertex_connected
 from .errors import NotFoundError, TooFewMonitorsError
 from .graph import (
     Edge,
@@ -86,12 +86,15 @@ def interior_links(g: Graph, monitors: MonitorSet) -> frozenset[Edge]:
 
 
 def condition_1(g: Graph, monitors: MonitorSet) -> bool:
-    """Every interior link can be removed without creating a bridge."""
+    """Every interior link can be removed without creating a bridge.
+
+    G - e is 2-edge-connected exactly when G is and G - e has no bridge: a
+    bridge of G stays a bridge of G - e, or is e and disconnects it."""
     monitors = validate_monitor_pair(g, monitors)
-    for link in sorted(interior_links(g, monitors)):
-        if not is_k_edge_connected(remove_edge(g, link), 2):
-            return False
-    return True
+    links = sorted(interior_links(g, monitors))
+    if not links:
+        return True
+    return is_k_edge_connected(g, 2) and not any(_bridges_any(g, e) for e in links)
 
 
 def condition_2(g: Graph, monitors: MonitorSet) -> bool:

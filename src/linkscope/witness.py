@@ -9,6 +9,11 @@ classify links by whether the attachments can run clear of the second
 cycle.  Searches are deterministic: cycles are enumerated in (length,
 canonical tuple) order and paths in (length, lexicographic) order, with
 first-hit return.  Graphs beyond 12 nodes are rejected up front.
+
+Arguments are validated once, at the public entry points.  The cycles a
+search takes from cycles_through_edge are valid by construction, so they go
+to the private checks without being validated again, and each search builds
+that list once per link.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .graph import (
     canonical_cycle,
     cycle_edges,
     edge,
-    induced_check,
     is_simple_path,
     iter_simple_paths,
     validate_cycle,
@@ -53,9 +57,8 @@ def cycles_through_edge(g: Graph, vw: Edge) -> list[Cycle]:
     e = edge(*vw)
     if e not in g.edges:
         raise NotFoundError(f"edge {e} not in graph")
-    v, w = e
-    rest = Graph(g.nodes, g.edges - {e})
-    cycles = [canonical_cycle(p) for p in iter_simple_paths(rest, v, w)]
+    # a v..w path other than (v, w) itself never steps along the edge v-w
+    cycles = [canonical_cycle(p) for p in iter_simple_paths(g, *e) if len(p) > 2]
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -85,9 +88,17 @@ def is_nonseparating_cycle(g: Graph, cycle: Cycle, monitors: MonitorSet) -> bool
     cycle covers the whole graph)."""
     cycle = validate_cycle(g, cycle)
     ms = validate_monitors(g, monitors, minimum=2)
-    if not induced_check(g, cycle):
+    return _nonseparating(g, cycle, ms)
+
+
+def _nonseparating(g: Graph, cycle: Cycle, ms: MonitorSet) -> bool:
+    """is_nonseparating_cycle for a cycle known to be valid: the cycle is
+    chordless exactly when each of its nodes has two neighbours on it."""
+    on_cycle = set(cycle)
+    adj = g.adj
+    if any(len(adj[u] & on_cycle) != 2 for u in cycle):
         return False
-    remaining = g.nodes - set(cycle)
+    remaining = g.nodes - on_cycle
     if not remaining:
         return True
     seeds = [m for m in ms if m in remaining]
@@ -95,7 +106,7 @@ def is_nonseparating_cycle(g: Graph, cycle: Cycle, monitors: MonitorSet) -> bool
     stack = list(seeds)
     while stack:
         u = stack.pop()
-        for x in g.adj[u]:
+        for x in adj[u]:
             if x in remaining and x not in seen:
                 seen.add(x)
                 stack.append(x)
@@ -112,7 +123,7 @@ def find_nonseparating_cycle(
     for cycle in cycles_through_edge(g, vw):
         if exclude_monitors and any(m in cycle for m in ms):
             continue
-        if is_nonseparating_cycle(g, cycle, ms):
+        if _nonseparating(g, cycle, ms):
             return cycle
     return None
 
@@ -245,21 +256,36 @@ class Lemma4Witness:
             raise ValueError("paths must meet the cycle only at their endpoint")
 
 
+def _first_attachments(
+    g: Graph, fset: set[int], link: Edge, monitors: tuple[int, int]
+) -> list[tuple[int, int, list[Path]]]:
+    """(ma, mb, attachment paths from ma to the first cycle off the link
+    ends) for both monitor orders: they depend on the first cycle only, so
+    the searches compute them once per first cycle, not once per second."""
+    m1, m2 = monitors
+    inner = fset - set(link)
+    return [(ma, mb, _attachment_paths(g, ma, inner, fset)) for ma, mb in ((m1, m2), (m2, m1))]
+
+
 def find_lemma3_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma3Witness | None:
     _guard(g)
     m1, m2 = validate_monitor_pair(g, monitors)
     link = _require_interior_link(g, vw, (m1, m2))
     v, w = link
     candidates = cycles_through_edge(g, link)
-    nonsep = [c for c in candidates if is_nonseparating_cycle(g, c, (m1, m2))]
-    for cyc_f in nonsep:
+    for cyc_f in candidates:
+        if not _nonseparating(g, cyc_f, (m1, m2)):
+            continue
         fset = set(cyc_f)
+        firsts = None
         for cyc_c in candidates:
             cset = set(cyc_c)
             if len(fset & cset) > 3:
                 continue
-            for ma, mb in ((m1, m2), (m2, m1)):
-                for p1 in _attachment_paths(g, ma, fset - {v, w}, fset):
+            if firsts is None:
+                firsts = _first_attachments(g, fset, link, (m1, m2))
+            for ma, mb, p1s in firsts:
+                for p1 in p1s:
                     p1set = set(p1)
                     p2s = _attachment_paths(g, mb, cset - {v, w} - p1set, cset | p1set)
                     if p2s:
@@ -269,21 +295,26 @@ def find_lemma3_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma3Witne
     return None
 
 
-def _has_disjoint_structure(g: Graph, cyc_f: Cycle, link: Edge, monitors: MonitorSet) -> bool:
-    """Is there a second cycle meeting cyc_f only at the link ends, with
-    disjoint attachment paths whose cyc_f-side path runs clear of the second
-    cycle?  The path's own monitor endpoint is exempt: a monitor sitting on
-    the second cycle is the terminus of every measurement walk through it, so
-    it cannot cause a self-intersection."""
-    m1, m2 = monitors
+def _has_disjoint_structure(
+    g: Graph, cyc_f: Cycle, link: Edge, monitors: tuple[int, int], candidates: list[Cycle]
+) -> bool:
+    """Is there a second cycle among the candidates through the link meeting
+    cyc_f only at the link ends, with disjoint attachment paths whose
+    cyc_f-side path runs clear of the second cycle?  The path's own monitor
+    endpoint is exempt: a monitor sitting on the second cycle is the
+    terminus of every measurement walk through it, so it cannot cause a
+    self-intersection."""
     v, w = link
     fset = set(cyc_f)
-    for cyc_c in cycles_through_edge(g, link):
+    firsts = None
+    for cyc_c in candidates:
         cset = set(cyc_c)
         if fset & cset != {v, w}:
             continue
-        for ma, mb in ((m1, m2), (m2, m1)):
-            for p1 in _attachment_paths(g, ma, fset - {v, w}, fset):
+        if firsts is None:
+            firsts = _first_attachments(g, fset, link, monitors)
+        for ma, mb, p1s in firsts:
+            for p1 in p1s:
                 p1set = set(p1)
                 if (p1set - {ma}) & cset:
                     continue
@@ -299,11 +330,15 @@ def is_case_b_link(g: Graph, vw: Edge, monitors: MonitorSet) -> bool:
     (here: "case B") when none does."""
     _guard(g)
     pair = validate_monitor_pair(g, monitors)
-    link = _require_interior_link(g, vw, pair)
-    for cyc_f in cycles_through_edge(g, link):
-        if not is_nonseparating_cycle(g, cyc_f, pair):
+    return _is_case_b(g, _require_interior_link(g, vw, pair), pair)
+
+
+def _is_case_b(g: Graph, link: Edge, pair: tuple[int, int]) -> bool:
+    candidates = cycles_through_edge(g, link)
+    for cyc_f in candidates:
+        if not _nonseparating(g, cyc_f, pair):
             continue
-        if _has_disjoint_structure(g, cyc_f, link, pair):
+        if _has_disjoint_structure(g, cyc_f, link, pair, candidates):
             return False
     return True
 
@@ -313,13 +348,13 @@ def count_caseB_on_cycle(g: Graph, cyc_f: Cycle, monitors: MonitorSet) -> int:
     _guard(g)
     ms = validate_monitor_pair(g, monitors)
     cyc_f = validate_cycle(g, cyc_f)
-    if not is_nonseparating_cycle(g, cyc_f, ms):
+    if not _nonseparating(g, cyc_f, ms):
         raise ValueError("cycle must be non-separating")
     count = 0
     for link in cycle_edges(cyc_f):
         if link[0] in ms or link[1] in ms:
             continue
-        if is_case_b_link(g, link, ms):
+        if _is_case_b(g, link, ms):
             count += 1
     return count
 
@@ -335,7 +370,7 @@ def find_lemma4_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma4Witne
     for cyc in cycles_through_edge(g, link):
         if m1 in cyc or m2 in cyc:
             continue
-        if not is_nonseparating_cycle(g, cyc, (m1, m2)):
+        if not _nonseparating(g, cyc, (m1, m2)):
             continue
         fset = set(cyc)
         for ma, mb in ((m1, m2), (m2, m1)):

@@ -136,6 +136,19 @@ class TestIdentify:
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
         assert main(["identify", tri_file, "--monitors", "1,2"]) == 4
 
+    @pytest.mark.parametrize("second", ["1 2 5", "2 1 5"])
+    def test_duplicate_weight_rejected(self, capsys, tri_file, tmp_path, second):
+        w = tmp_path / "w.txt"
+        w.write_text(f"1 2 3\n1 3 2\n2 3 1\n{second}\n")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_self_loop_weight_rejected(self, capsys, tri_file, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("1 2 3\n1 1 5\n")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_incomplete_weights(self, capsys, tri_file, tmp_path):
         w = tmp_path / "w.txt"
         w.write_text("1 2 1\n")

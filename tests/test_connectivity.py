@@ -111,6 +111,14 @@ class TestOracleAgreement:
             for k in (2, 3):
                 assert is_k_vertex_connected(g, k) == menger_is_k_vertex_connected(g, k)
 
+    def test_random_thirty_node_graphs(self):
+        verdicts = []
+        for seed in range(6):
+            g = random_connected_graph(30, (0.1, 0.15, 0.2)[seed % 3], 500 + seed)
+            verdicts.append(is_k_vertex_connected(g, 3))
+            assert verdicts[-1] == menger_is_k_vertex_connected(g, 3)
+        assert True in verdicts and False in verdicts
+
     def test_three_connected_iff_connectivity_at_least_three(self):
         for g in all_connected_graphs(5):
             assert (vertex_connectivity(g) >= 3) == is_k_vertex_connected(g, 3)

@@ -18,6 +18,7 @@ from linkscope.graph import (
     induced_check,
     is_connected,
     is_simple_path,
+    iter_simple_paths,
     parse_graph,
     remove_edge,
     remove_node,
@@ -182,6 +183,21 @@ class TestQueries:
     def test_induced_rejects_non_cycle(self, c4):
         with pytest.raises(InvalidCycleError):
             induced_check(c4, (1, 2, 3))
+
+    def test_simple_paths_lexicographic(self):
+        k5 = k_n(5)
+        paths = list(iter_simple_paths(k5, 1, 2))
+        assert paths == sorted(paths)
+        assert len(paths) == 1 + 3 + 3 * 2 + 3 * 2 * 1
+        assert all(is_simple_path(k5, p) and p[0] == 1 and p[-1] == 2 for p in paths)
+        assert list(iter_simple_paths(k5, 1, 2, forbidden_internal={3, 4})) == [
+            (1, 2),
+            (1, 5, 2),
+        ]
+
+    def test_simple_paths_beyond_recursion_limit(self):
+        g = path_n(3000)
+        assert list(iter_simple_paths(g, 1, 3000)) == [tuple(range(1, 3001))]
 
     def test_canonical_cycle(self):
         assert canonical_cycle((3, 1, 2)) == (1, 2, 3)

@@ -86,6 +86,16 @@ class TestMatrix:
         with pytest.raises(InvalidPathError):
             build_matrix(triangle, [(1,)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 2, 1), (1, 2, 3, 2), (1, 3), (1, 2, 9), (9, 1)],
+        ids=["repeated", "repeated-later", "non-adjacent", "unknown-end", "unknown-start"],
+    )
+    def test_invalid_path_rejected(self, bad):
+        c4 = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(InvalidPathError):
+            build_matrix(c4, [(1, 2), bad])
+
 
 class TestIdentifiableLinks:
     def test_triangle(self, triangle):

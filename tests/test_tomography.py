@@ -4,7 +4,7 @@ import pytest
 
 from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
 from linkscope.errors import NotFoundError, TooFewMonitorsError
-from linkscope.graph import Graph, remove_node
+from linkscope.graph import Graph, remove_edge, remove_node
 from linkscope.tomography import (
     condition_1,
     condition_2,
@@ -18,6 +18,7 @@ from linkscope.tomography import (
 )
 
 from .conftest import c_n, path_n
+from .oracles import brute_is_k_edge_connected
 
 
 class TestInteriorGraph:
@@ -58,6 +59,18 @@ class TestConditions:
 
     def test_condition_1_vacuous_on_empty_interior(self, triangle):
         assert condition_1(triangle, (1, 2))
+
+    def test_condition_1_matches_definition_on_corpus(self):
+        import itertools
+
+        for n in (4, 5):
+            for g in all_connected_graphs(n):
+                for pair in itertools.combinations(sorted(g.nodes), 2):
+                    want = all(
+                        brute_is_k_edge_connected(remove_edge(g, e), 2)
+                        for e in interior_links(g, pair)
+                    )
+                    assert condition_1(g, pair) == want, (sorted(g.edges), pair)
 
     def test_condition_2(self, k4, c4):
         assert condition_2(k4, (1, 2))
