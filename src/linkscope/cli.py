@@ -15,20 +15,13 @@ from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .connectivity import bridges, cut_vertices, vertex_connectivity
-from .decomposition import biconnected_components, triconnected_components
 from .errors import (
-    DisconnectedError,
     DuplicateEdgeError,
     GraphParseError,
-    InconsistentMeasurementsError,
     LinkscopeError,
     NotFoundError,
-    NotInteriorError,
     PathExplosionError,
     SelfLoopError,
-    TooFewMonitorsError,
-    TooLargeError,
-    TooSmallError,
 )
 from .graph import Graph, edge, parse_graph, serialize
 from .identifiability import (
@@ -163,27 +156,24 @@ def _cmd_place(args) -> int:
     tiebreak = TieBreak(args.tiebreak, args.seed if args.tiebreak == "seeded" else None)
     trace = mmp(g, tiebreak)
     verified = verify_placement(g, trace, cap=_default_cap())
-    blocks = biconnected_components(g)
     decomposition = []
-    for block in blocks:
+    for block, comps in trace.decomposition:
         entry = {
             "nodes": sorted(block.nodes),
             "edges": _edges_json(block.edges),
             "cut_vertices": sorted(block.cut_vertices),
             "c_b": block.c_b,
-            "triconnected_components": [],
+            "triconnected_components": [
+                {
+                    "nodes": sorted(comp.nodes),
+                    "real_edges": _edges_json(comp.real_edges),
+                    "virtual_edges": _edges_json(comp.virtual_edges),
+                    "separation_vertices": sorted(comp.separation_vertices),
+                    "s_t": comp.s_t,
+                }
+                for comp in comps
+            ],
         }
-        if len(block.nodes) >= 3:
-            for comp in triconnected_components(block, g):
-                entry["triconnected_components"].append(
-                    {
-                        "nodes": sorted(comp.nodes),
-                        "real_edges": _edges_json(comp.real_edges),
-                        "virtual_edges": _edges_json(comp.virtual_edges),
-                        "separation_vertices": sorted(comp.separation_vertices),
-                        "s_t": comp.s_t,
-                    }
-                )
         decomposition.append(entry)
     report = {
         "monitors": list(trace.monitors),
@@ -357,17 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO
-    except (
-        NotFoundError,
-        DisconnectedError,
-        TooFewMonitorsError,
-        TooSmallError,
-        TooLargeError,
-        NotInteriorError,
-        InconsistentMeasurementsError,
-        LinkscopeError,
-        ValueError,
-    ) as exc:
+    except (LinkscopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_PRECONDITION
     if argv is None:

@@ -12,17 +12,20 @@ algorithm's per-component loop honest about its size guard.
 
 Split order does not affect the result: the rigid (3-connected) pieces are
 unique, and the polygon merge closes any chain of cycle fragments back into
-the maximal polygon.
+the maximal polygon.  Each split takes the lexicographically first separation
+pair {a, b}: every piece is biconnected, so {a, b} separates it exactly when
+b is a cut vertex of piece - a, and the pair comes from the smallest a whose
+deletion leaves a cut vertex, with the smallest such b.  Blocks and their cut
+vertices come from the same lowpoint pass (`connectivity._lowpoint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .connectivity import cut_vertices
+from .connectivity import _lowpoint
 from .errors import DisconnectedError
-from .graph import Edge, Graph, edge, is_connected
+from .graph import Edge, Graph, edge, is_connected, reachable
 
 
 @dataclass(frozen=True)
@@ -63,54 +66,16 @@ class TriconnectedComponent:
 
 
 def biconnected_components(g: Graph) -> list[BiconnectedComponent]:
-    """Standard block decomposition; blocks sorted by smallest contained node."""
+    """Standard block decomposition; blocks sorted by smallest contained node.
+    A block's edges are the graph edges with both ends in it."""
     if not is_connected(g):
         raise DisconnectedError("graph must be connected")
-    cuts = cut_vertices(g)
-    blocks: list[frozenset[Edge]] = []
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    counter = 0
-    edge_stack: list[Edge] = []
-    for root in g.sorted_nodes():
-        if root in disc:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(sorted(g.adj[root])))]
-        while stack:
-            u, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w in disc:
-                    if disc[w] < disc[u]:
-                        edge_stack.append(edge(u, w))
-                        low[u] = min(low[u], disc[w])
-                    continue
-                disc[w] = low[w] = counter
-                counter += 1
-                edge_stack.append(edge(u, w))
-                stack.append((w, u, iter(sorted(g.adj[w]))))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] >= disc[parent]:
-                        block: set[Edge] = set()
-                        while True:
-                            e = edge_stack.pop()
-                            block.add(e)
-                            if e == edge(parent, u):
-                                break
-                        blocks.append(frozenset(block))
+    _, cuts, blocks = _lowpoint(g.adj)
     out = []
-    for block_edges in blocks:
-        nodes = frozenset(v for e in block_edges for v in e)
-        out.append(BiconnectedComponent(nodes, block_edges, cuts & nodes))
+    for block in blocks:
+        nodes = frozenset(block)
+        block_edges = frozenset((u, w) for u in nodes for w in g.adj[u] if u < w and w in nodes)
+        out.append(BiconnectedComponent(nodes, block_edges, nodes & cuts))
     out.sort(key=lambda b: (min(b.nodes), sorted(b.nodes), sorted(b.edges)))
     return out
 
@@ -119,26 +84,16 @@ def biconnected_components(g: Graph) -> list[BiconnectedComponent]:
 # triconnected splitting
 
 
-def _separation_pairs(nodes: frozenset[int], adj: dict[int, set[int]]) -> list[tuple[int, int]]:
-    """All 2-node cuts of the piece, sorted."""
+def _first_separation_pair(nodes: frozenset[int], adj: dict[int, set[int]]) -> tuple[int, int] | None:
+    """The lexicographically first 2-node cut of the (biconnected) piece."""
     if len(nodes) < 4:
-        return []
-    pairs = []
-    ordered = sorted(nodes)
-    for a, b in combinations(ordered, 2):
-        remaining = nodes - {a, b}
-        start = min(remaining)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(remaining):
-            pairs.append((a, b))
-    return pairs
+        return None
+    for a in sorted(nodes):
+        cuts = _lowpoint({v: ns - {a} for v, ns in adj.items() if v != a})[1]
+        if cuts:
+            # a smaller partner b would have been found at a = b already
+            return a, min(cuts)
+    return None
 
 
 def _piece_adj(nodes: frozenset[int], edges: set[Edge]) -> dict[int, set[int]]:
@@ -156,16 +111,7 @@ def _is_polygon(nodes: frozenset[int], edges: set[Edge]) -> bool:
     if any(len(ns) != 2 for ns in adj.values()):
         return False
     # degree-2 everywhere with |E| == |V|: a single cycle iff connected
-    start = min(nodes)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+    return len(reachable(adj, (min(nodes),), ())) == len(nodes)
 
 
 def _comp_key(piece: tuple[frozenset[int], set[Edge], set[Edge]]):
@@ -188,29 +134,21 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
     while work:
         nodes, real, virtual = work.pop()
         adj = _piece_adj(nodes, real | virtual)
-        pairs = _separation_pairs(nodes, adj)
-        if not pairs:
+        pair = _first_separation_pair(nodes, adj)
+        if pair is None:
             atoms.append((nodes, real, virtual))
             continue
-        a, bb = pairs[0]
+        a, bb = pair
         pair_edge = edge(a, bb)
         if pair_edge in real:
             pending.add(pair_edge)
             real = real - {pair_edge}
-        remaining = nodes - {a, bb}
         comps: list[set[int]] = []
         seen: set[int] = set()
-        for s in sorted(remaining):
+        for s in sorted(nodes - {a, bb}):
             if s in seen:
                 continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w in remaining and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
+            comp = reachable(adj, (s,), (a, bb))
             seen |= comp
             comps.append(comp)
         for comp in comps:
@@ -257,11 +195,10 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
         atoms[target] = (nodes, real | {e}, virtual - {e})
         assigned.setdefault(target, set()).add(e)
 
-    cuts = cut_vertices(g) if is_connected(g) else frozenset()
     out = []
     for idx, (nodes, real, virtual) in enumerate(atoms):
         pairs = frozenset(virtual) | frozenset(assigned.get(idx, set()))
-        sep = (cuts & nodes) | {v for e in pairs for v in e}
+        sep = (b.cut_vertices & nodes) | {v for e in pairs for v in e}
         out.append(
             TriconnectedComponent(
                 nodes=nodes,
@@ -274,9 +211,3 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
     out.sort(key=lambda t: (sorted(t.nodes), sorted(t.real_edges), sorted(t.virtual_edges)))
     return out
 
-
-def separation_vertices(t: TriconnectedComponent, g: Graph) -> frozenset[int]:
-    """Nodes counted by s_t: host cut vertices in the component plus members
-    of the separation pairs the component attaches through."""
-    cuts = cut_vertices(g) if is_connected(g) else frozenset()
-    return (cuts & t.nodes) | frozenset(v for e in t.attachment_pairs for v in e)

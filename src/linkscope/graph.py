@@ -4,11 +4,15 @@ Node ids are caller-supplied non-negative integers and are never renumbered:
 every result that cites a node must use the caller's own names.  All mutating
 operations return a fresh graph, so search code can fork thousands of variants
 without aliasing worries.
+
+`reachable` is the package's one reachability walk: connectivity tests,
+component sweeps and side-of-a-cut questions elsewhere all call it with the
+nodes they delete, rather than building the smaller graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateEdgeError,
@@ -204,16 +208,7 @@ def is_connected(g: Graph) -> bool:
     """True iff the graph has at most one connected component (empty counts)."""
     if not g.nodes:
         return True
-    start = min(g.nodes)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.nodes)
+    return len(reachable(g.adj, (min(g.nodes),), ())) == len(g.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -255,72 +250,31 @@ def path_edges(path: Path) -> list[Edge]:
 
 
 def canonical_cycle(cycle: Cycle) -> Cycle:
-    """Least tuple over all rotations and both directions; identity for sets."""
-    n = len(cycle)
-    best: Cycle | None = None
-    for seq in (cycle, cycle[::-1]):
-        for i in range(n):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
-    assert best is not None
-    return best
+    """Least tuple over all rotations and both directions; identity for sets.
 
-
-def induced_check(g: Graph, cycle: Cycle) -> bool:
-    """True iff the cycle is chordless: no graph edge joins two of its
-    non-consecutive nodes."""
-    cycle = validate_cycle(g, cycle)
-    on_cycle = set(cycle_edges(cycle))
-    nodes = list(cycle)
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            e = edge(nodes[i], nodes[j])
-            if e in g.edges and e not in on_cycle:
-                return False
-    return True
+    The least rotation starts at the smallest node, so only the two
+    directions read from there are compared."""
+    i = cycle.index(min(cycle))
+    forward = cycle[i:] + cycle[:i]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
 # ---------------------------------------------------------------------------
-# internal reachability helpers shared by the heavier modules
+# the one reachability walk shared by the package
 
 
-def connected_without(g: Graph, removed: frozenset[int] | set[int]) -> bool:
-    """Is the graph connected after deleting `removed`? Empty remainder: yes."""
-    remaining = g.nodes - removed
-    if not remaining:
-        return True
-    start = min(remaining)
-    seen = {start}
-    stack = [start]
+def reachable(adj: Mapping[int, Iterable[int]], seeds: Iterable[int], removed: Container[int]) -> set[int]:
+    """Nodes reachable from the seeds without entering a removed node; the
+    seeds themselves are included and must not be removed."""
+    seen = set(seeds)
+    stack = list(seen)
     while stack:
         u = stack.pop()
-        for w in g.adj[u]:
-            if w not in removed and w not in seen:
+        for w in adj[u]:
+            if w not in seen and w not in removed:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(remaining)
-
-
-def components_without(g: Graph, removed: frozenset[int] | set[int]) -> list[set[int]]:
-    """Connected components of the graph minus `removed`, sorted by min node."""
-    remaining = g.nodes - removed
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for s in sorted(remaining):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return seen
 
 
 def iter_simple_paths(

@@ -35,6 +35,7 @@ from .graph import (
     is_connected,
     iter_simple_paths,
     path_edges,
+    reachable,
 )
 from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
 
@@ -271,7 +272,7 @@ def recover(matrix: MeasurementMatrix, vector: MeasurementVector) -> dict[Edge, 
 
 
 # ---------------------------------------------------------------------------
-# executable forms of the bridge and exterior-link facts
+# executable form of the bridge fact
 
 
 def adjacent_links(g: Graph, e: Edge) -> frozenset[Edge]:
@@ -288,26 +289,11 @@ def check_lemma1(g: Graph, monitors: MonitorSet, bridge_link: Edge) -> bool:
         raise NotFoundError(f"edge {b} not in graph")
     if b not in bridges(g):
         raise ValueError(f"edge {b} is not a bridge")
-    cut = Graph(g.nodes, g.edges - {b})
-    side = {b[0]}
-    stack = [b[0]]
-    while stack:
-        u = stack.pop()
-        for w in cut.adj[u]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
+    # b is a bridge, so b[0]'s side of it is what b[0] reaches without b[1]
+    side = reachable(g.adj, (b[0],), (b[1],))
     if (m1 in side) == (m2 in side):
         raise ValueError("monitors must lie on opposite sides of the bridge")
     report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, monitors)))
     targets = {b} | adjacent_links(g, b)
     return targets <= report.unidentifiable
 
-
-def check_corollary1(g: Graph, monitors: MonitorSet) -> bool:
-    """No exterior link other than the direct monitor-monitor edge is
-    identifiable with two monitors."""
-    m1, m2 = validate_monitor_pair(g, monitors)
-    report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, monitors)))
-    exterior = {e for e in g.edges if m1 in e or m2 in e} - {edge(m1, m2)}
-    return exterior <= report.unidentifiable

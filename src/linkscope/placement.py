@@ -17,8 +17,13 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .connectivity import cut_vertices, is_k_vertex_connected
-from .decomposition import biconnected_components, triconnected_components
+from .connectivity import is_k_vertex_connected
+from .decomposition import (
+    BiconnectedComponent,
+    TriconnectedComponent,
+    biconnected_components,
+    triconnected_components,
+)
 from .errors import (
     DisconnectedError,
     InconclusiveError,
@@ -82,6 +87,9 @@ class PlacementTrace:
     topup: frozenset[int]
     k_min: int
     tiebreak: TieBreak
+    # each block with the triconnected components the stages read (none for
+    # a block of two nodes), in block order
+    decomposition: tuple[tuple[BiconnectedComponent, tuple[TriconnectedComponent, ...]], ...]
 
 
 def _chooser(tiebreak: TieBreak):
@@ -103,12 +111,13 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
 
     tri_records: list[TriStageRecord] = []
     bi_records: list[BiStageRecord] = []
-    cuts = cut_vertices(g)
-    blocks = biconnected_components(g)
-    for bi, block in enumerate(blocks):
+    decomposition = []
+    for bi, block in enumerate(biconnected_components(g)):
         if len(block.nodes) < 3:
+            decomposition.append((block, ()))
             continue
-        comps = triconnected_components(block, g)
+        comps = tuple(triconnected_components(block, g))
+        decomposition.append((block, comps))
         for ti, comp in enumerate(comps):
             if len(comp.nodes) < 3:
                 continue
@@ -131,7 +140,7 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
         added = ()
         if 0 < c_b < 3 and c_b + m_b < 3:
             need = 3 - c_b - m_b
-            eligible = block.nodes - cuts - monitors
+            eligible = block.nodes - block.cut_vertices - monitors
             if len(eligible) < need:
                 raise InfeasibleStageError(
                     f"block {sorted(block.nodes)} needs {need} monitors, "
@@ -156,6 +165,7 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
         topup=topup,
         k_min=len(monitors),
         tiebreak=tiebreak,
+        decomposition=tuple(decomposition),
     )
 
 
@@ -164,10 +174,11 @@ def _fully_identifiable(g: Graph, monitors: MonitorSet, cap: int) -> bool:
     return identifiable_links(build_matrix(g, paths)).fully_identifiable
 
 
-def verify_placement(g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CAP) -> bool:
-    """The placement is good when the extended graph is 3-vertex-connected
-    and the rank oracle confirms every link identifiable.  Instances whose
-    path count exceeds the cap keep only the connectivity verdict."""
+def verify_placement(g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CAP) -> bool | None:
+    """True when the extended graph is 3-vertex-connected and the rank
+    oracle confirms every link identifiable; False when either check fails.
+    None when the extended graph passed but the path count exceeded the cap,
+    so the rank oracle gave no evidence either way."""
     monitors = trace.monitors
     if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
         return False
@@ -177,7 +188,7 @@ def verify_placement(g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CA
     try:
         return _fully_identifiable(g, monitors, cap)
     except PathExplosionError:
-        return True
+        return None
 
 
 def _achieves_full_identifiability(g: Graph, candidate: tuple[int, ...], cap: int) -> bool:

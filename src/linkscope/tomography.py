@@ -24,9 +24,9 @@ from .graph import (
     Edge,
     Graph,
     add_edge,
-    components_without,
     edge,
     is_connected,
+    reachable,
     remove_edge,
     remove_node,
 )
@@ -113,13 +113,13 @@ def prop2_characterization(g: Graph, monitors: MonitorSet) -> bool:
     ms = validate_monitors(g, monitors, minimum=2)
     if g.node_count < 4:
         raise ValueError("characterization needs at least 4 nodes")
-    for u, v in combinations(g.sorted_nodes(), 2):
-        removed = frozenset((u, v))
-        comps = components_without(g, removed)
-        if len(comps) <= 1:
-            continue
-        survivors = set(ms) - removed
-        if not all(comp & survivors for comp in comps):
+    nodes = g.sorted_nodes()
+    for u, v in combinations(nodes, 2):
+        removed = (u, v)
+        # every remaining node must reach a surviving monitor; with both
+        # monitors deleted, the rest must be connected
+        seeds = [m for m in ms if m not in removed] or [next(x for x in nodes if x not in removed)]
+        if len(reachable(g.adj, seeds, removed)) < len(nodes) - 2:
             return False
     return True
 

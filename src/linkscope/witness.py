@@ -31,6 +31,7 @@ from .graph import (
     edge,
     is_simple_path,
     iter_simple_paths,
+    reachable,
     validate_cycle,
 )
 from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
@@ -98,19 +99,8 @@ def _nonseparating(g: Graph, cycle: Cycle, ms: MonitorSet) -> bool:
     adj = g.adj
     if any(len(adj[u] & on_cycle) != 2 for u in cycle):
         return False
-    remaining = g.nodes - on_cycle
-    if not remaining:
-        return True
-    seeds = [m for m in ms if m in remaining]
-    seen = set(seeds)
-    stack = list(seeds)
-    while stack:
-        u = stack.pop()
-        for x in adj[u]:
-            if x in remaining and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == len(remaining)
+    seeds = [m for m in ms if m not in on_cycle]
+    return len(reachable(adj, seeds, on_cycle)) == len(g.nodes) - len(on_cycle)
 
 
 def find_nonseparating_cycle(
@@ -170,18 +160,7 @@ def _attachment_exists(g: Graph, start: int, targets: set[int], blocked: set[int
         return True
     if start in blocked:
         return False
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for x in g.adj[u]:
-            if x in targets:
-                return True
-            if x in blocked or x in seen:
-                continue
-            seen.add(x)
-            stack.append(x)
-    return False
+    return any(not targets.isdisjoint(g.adj[u]) for u in reachable(g.adj, (start,), blocked))
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +309,7 @@ def is_case_b_link(g: Graph, vw: Edge, monitors: MonitorSet) -> bool:
     (here: "case B") when none does."""
     _guard(g)
     pair = validate_monitor_pair(g, monitors)
-    return _is_case_b(g, _require_interior_link(g, vw, pair), pair)
-
-
-def _is_case_b(g: Graph, link: Edge, pair: tuple[int, int]) -> bool:
+    link = _require_interior_link(g, vw, pair)
     candidates = cycles_through_edge(g, link)
     for cyc_f in candidates:
         if not _nonseparating(g, cyc_f, pair):
@@ -341,22 +317,6 @@ def _is_case_b(g: Graph, link: Edge, pair: tuple[int, int]) -> bool:
         if _has_disjoint_structure(g, cyc_f, link, pair, candidates):
             return False
     return True
-
-
-def count_caseB_on_cycle(g: Graph, cyc_f: Cycle, monitors: MonitorSet) -> int:
-    """Number of hard-case interior links on the given non-separating cycle."""
-    _guard(g)
-    ms = validate_monitor_pair(g, monitors)
-    cyc_f = validate_cycle(g, cyc_f)
-    if not _nonseparating(g, cyc_f, ms):
-        raise ValueError("cycle must be non-separating")
-    count = 0
-    for link in cycle_edges(cyc_f):
-        if link[0] in ms or link[1] in ms:
-            continue
-        if _is_case_b(g, link, ms):
-            count += 1
-    return count
 
 
 def find_lemma4_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma4Witness | None:

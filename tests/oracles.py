@@ -23,6 +23,44 @@ def brute_cut_vertices(g: Graph) -> frozenset:
     return frozenset(v for v in g.nodes if not is_connected(remove_node(g, v)))
 
 
+def brute_blocks(g: Graph) -> list[frozenset]:
+    """Block node sets from the definition: maximal node sets of two or more
+    nodes whose induced subgraph is connected and has no cut vertex (the two
+    ends of a bridge included).  Sorted."""
+
+    def connected(s: frozenset) -> bool:
+        start = min(s)
+        seen, todo = {start}, [start]
+        while todo:
+            for w in g.adj[todo.pop()] & s:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return len(seen) == len(s)
+
+    found: list[frozenset] = []
+    for r in range(g.node_count, 1, -1):
+        for subset in combinations(sorted(g.nodes), r):
+            s = frozenset(subset)
+            if any(s <= b for b in found):
+                continue
+            if connected(s) and (r == 2 or all(connected(s - {v}) for v in s)):
+                found.append(s)
+    return sorted(found, key=sorted)
+
+
+def reference_canonical_cycle(cycle: tuple) -> tuple:
+    """Least tuple over all 2n rotations of the cycle in both directions."""
+    n = len(cycle)
+    best = None
+    for seq in (cycle, cycle[::-1]):
+        for i in range(n):
+            rot = seq[i:] + seq[:i]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
 def brute_is_k_edge_connected(g: Graph, k: int) -> bool:
     if not is_connected(g):
         return False

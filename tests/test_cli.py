@@ -5,7 +5,9 @@ import json
 import pytest
 
 from linkscope.cli import main
-from linkscope.graph import parse_graph
+from linkscope.corpus import random_connected_graph
+from linkscope.decomposition import biconnected_components, triconnected_components
+from linkscope.graph import parse_graph, serialize
 
 
 @pytest.fixture
@@ -102,6 +104,43 @@ class TestPlace:
         p = tmp_path / "edge.txt"
         p.write_text("1 2\n")
         assert main(["place", str(p)]) == 3
+
+    def test_verified_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
+        _, report = run(capsys, ["place", k4_file])
+        assert report["verified"] is True
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
+        code, report = run(capsys, ["place", k4_file])
+        assert code == 0
+        assert report["verified"] is None
+
+    def test_decomposition_matches_fresh_decomposition(self, capsys, tmp_path):
+        for seed in range(4):
+            g = random_connected_graph(10, 0.3, 300 + seed)
+            blocks = biconnected_components(g)
+            assert len(blocks) > 1
+            p = tmp_path / f"g{seed}.txt"
+            p.write_text(serialize(g))
+            _, report = run(capsys, ["place", str(p)])
+            want = [
+                {
+                    "nodes": sorted(b.nodes),
+                    "edges": [f"{u}-{v}" for u, v in sorted(b.edges)],
+                    "cut_vertices": sorted(b.cut_vertices),
+                    "c_b": b.c_b,
+                    "triconnected_components": [
+                        {
+                            "nodes": sorted(t.nodes),
+                            "real_edges": [f"{u}-{v}" for u, v in sorted(t.real_edges)],
+                            "virtual_edges": [f"{u}-{v}" for u, v in sorted(t.virtual_edges)],
+                            "separation_vertices": sorted(t.separation_vertices),
+                            "s_t": t.s_t,
+                        }
+                        for t in (triconnected_components(b, g) if len(b.nodes) >= 3 else [])
+                    ],
+                }
+                for b in blocks
+            ]
+            assert report["decomposition"] == {"blocks": want}
 
 
 class TestIdentify:

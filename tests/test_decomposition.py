@@ -4,16 +4,12 @@ import pytest
 
 from linkscope.connectivity import cut_vertices
 from linkscope.corpus import all_connected_graphs, random_connected_graph
-from linkscope.decomposition import (
-    biconnected_components,
-    separation_vertices,
-    triconnected_components,
-)
+from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.errors import DisconnectedError
-from linkscope.graph import Graph, connected_without
+from linkscope.graph import Graph, is_connected, remove_node
 
 from .conftest import c_n, path_n
-from .oracles import reference_split_components
+from .oracles import brute_blocks, reference_split_components
 
 
 def two_k4s_sharing_edge() -> Graph:
@@ -45,6 +41,12 @@ class TestBlocks:
             blocks = biconnected_components(g)
             seen = [e for b in blocks for e in b.edges]
             assert len(seen) == len(set(seen)) == g.edge_count
+
+    def test_blocks_match_definition(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                got = sorted((b.nodes for b in biconnected_components(g)), key=sorted)
+                assert got == brute_blocks(g), sorted(g.edges)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
@@ -92,11 +94,11 @@ class TestTriconnected:
     def test_separation_vertices_examples(self, k4):
         block = biconnected_components(k4)[0]
         comp = triconnected_components(block, k4)[0]
-        assert separation_vertices(comp, k4) == frozenset()
+        assert comp.separation_vertices == frozenset()
 
         g2 = two_k4s_sharing_edge()
         for comp in triconnected_components(biconnected_components(g2)[0], g2):
-            assert separation_vertices(comp, g2) == {1, 2}
+            assert comp.separation_vertices == {1, 2}
 
         # rigid block hanging off a cut vertex
         g3 = Graph(
@@ -104,7 +106,7 @@ class TestTriconnected:
         )
         k4_block = next(b for b in biconnected_components(g3) if len(b.nodes) == 4)
         comp = triconnected_components(k4_block, g3)[0]
-        assert separation_vertices(comp, g3) == {4}
+        assert comp.separation_vertices == {4}
         assert comp.s_t == 1
 
 
@@ -130,7 +132,7 @@ class TestInvariants:
             block_graph = Graph(block.nodes, block.edges)
             for comp in triconnected_components(block, g):
                 for a, b in comp.virtual_edges:
-                    assert not connected_without(block_graph, frozenset((a, b)))
+                    assert not is_connected(remove_node(remove_node(block_graph, a), b))
 
     def test_component_counts_stable_under_relabeling(self):
         for seed in range(5):
@@ -160,4 +162,3 @@ class TestInvariants:
             for comp in triconnected_components(block, g):
                 expect = (cuts & comp.nodes) | {v for e in comp.attachment_pairs for v in e}
                 assert comp.separation_vertices == expect
-                assert separation_vertices(comp, g) == expect

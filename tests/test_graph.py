@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,6 @@ from linkscope.graph import (
     add_edge,
     canonical_cycle,
     edge,
-    induced_check,
     is_connected,
     is_simple_path,
     iter_simple_paths,
@@ -25,7 +26,10 @@ from linkscope.graph import (
     serialize,
 )
 
+from linkscope.witness import is_nonseparating_cycle
+
 from .conftest import k_n, path_n
+from .oracles import reference_canonical_cycle
 
 
 class TestParse:
@@ -171,18 +175,20 @@ class TestQueries:
         assert not is_simple_path(k4, (1, 2, 1))
         assert not is_simple_path(k4, ())
 
+    # chordlessness is checked by is_nonseparating_cycle; the monitors are
+    # chosen so that only the chord test can fail
     def test_induced_triangle_in_k4(self, k4):
-        assert induced_check(k4, (1, 2, 3))
+        assert is_nonseparating_cycle(k4, (1, 2, 3), (1, 4))
 
     def test_induced_c4_in_k4(self, k4):
-        assert not induced_check(k4, (1, 2, 3, 4))
+        assert not is_nonseparating_cycle(k4, (1, 2, 3, 4), (1, 2))
 
     def test_induced_c4(self, c4):
-        assert induced_check(c4, (1, 2, 3, 4))
+        assert is_nonseparating_cycle(c4, (1, 2, 3, 4), (1, 2))
 
     def test_induced_rejects_non_cycle(self, c4):
         with pytest.raises(InvalidCycleError):
-            induced_check(c4, (1, 2, 3))
+            is_nonseparating_cycle(c4, (1, 2, 3), (1, 2))
 
     def test_simple_paths_lexicographic(self):
         k5 = k_n(5)
@@ -203,3 +209,9 @@ class TestQueries:
         assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
         assert canonical_cycle((2, 1, 3)) == (1, 2, 3)
         assert canonical_cycle((4, 3, 2, 1)) == (1, 2, 3, 4)
+
+    def test_canonical_cycle_matches_all_rotations(self):
+        labels = (7, 2, 11, 0, 5, 3, 9)
+        for n in range(3, 8):
+            for cycle in permutations(labels[:n]):
+                assert canonical_cycle(cycle) == reference_canonical_cycle(cycle), cycle

@@ -19,7 +19,6 @@ from linkscope.identifiability import (
     MetricAssignment,
     adjacent_links,
     build_matrix,
-    check_corollary1,
     check_lemma1,
     enumerate_monitor_paths,
     identifiable_links,
@@ -202,9 +201,11 @@ class TestBridgeAndExterior:
         assert adjacent_links(g, (4, 5)) == {(2, 4), (3, 4), (5, 6), (5, 7)}
 
     def test_corollary1_examples(self, triangle, k4):
-        assert check_corollary1(triangle, (1, 2))
-        assert check_corollary1(k4, (1, 2))
-        assert check_corollary1(Graph(edges=[(1, 2)]), (1, 2))
+        # no exterior link but the direct monitor-monitor one is identifiable
+        for g in (triangle, k4, Graph(edges=[(1, 2)])):
+            report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, (1, 2))))
+            exterior = {e for e in g.edges if 1 in e or 2 in e} - {(1, 2)}
+            assert exterior <= report.unidentifiable
 
     def test_direct_monitor_link_always_identifiable(self):
         for g in all_connected_graphs(4):

@@ -92,6 +92,7 @@ class TestVerification:
             topup=frozenset(),
             k_min=2,
             tiebreak=LOWEST,
+            decomposition=trace.decomposition,
         )
         assert verify_placement(k4, trace)
         assert not verify_placement(k4, forced)
