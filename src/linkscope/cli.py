@@ -91,6 +91,9 @@ def _load_weights(path: str, g: Graph) -> MetricAssignment:
             parts = line.split()
             if len(parts) != 3:
                 raise GraphParseError(f"expected 'u v value', got {line!r}", lineno)
+            if "e" in parts[2].lower():
+                # Fraction would build 10**exponent with no bound on its size
+                raise GraphParseError(f"exponent not allowed in weight {parts[2]!r}", lineno)
             try:
                 u, v = int(parts[0]), int(parts[1])
                 value = Fraction(parts[2])
@@ -344,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except PathExplosionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_CAP
-    except (OSError, GraphParseError) as exc:
+    except (OSError, UnicodeDecodeError, GraphParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO
     except (LinkscopeError, ValueError) as exc:

@@ -8,6 +8,9 @@ without aliasing worries.
 `reachable` is the package's one reachability walk: connectivity tests,
 component sweeps and side-of-a-cut questions elsewhere all call it with the
 nodes they delete, rather than building the smaller graph.
+`iter_simple_paths` is the package's one simple-path walker: measurement
+paths, the cycles through an edge, every cycle of a graph and the witness
+attachment paths are all read off it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ NodeId = int
 Edge = tuple[int, int]
 Path = tuple[int, ...]
 Cycle = tuple[int, ...]
+
+# The header "nodes: n" allocates every node up front, so n is bounded
+# before anything is built; no analysis here runs on graphs near this size.
+MAX_HEADER_NODES = 100000
 
 
 def edge(u: int, v: int) -> Edge:
@@ -136,6 +143,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError("malformed node-count header", lineno) from None
             if n < 0:
                 raise GraphParseError("node count must be non-negative", lineno)
+            if n > MAX_HEADER_NODES:
+                raise GraphParseError(f"node count above the limit of {MAX_HEADER_NODES}", lineno)
             header_nodes = set(range(1, n + 1))
             continue
         seen_edge_line = True

@@ -7,6 +7,13 @@ off a fully reduced row basis, computed fraction-free over the integers so
 verdicts are exact and bit-reproducible.  Floating point never touches a
 verdict.
 
+Recovery runs the same elimination with one extra value column: a
+measurement p/q on a path becomes the integer row (q times the incidence
+row, then p), so the reducer never leaves the integers.  Pivots stay in the
+link columns; a row whose link part cancels while its value does not is a
+contradiction, and each unit basis row (0, .., d, .., 0 | n) reads off its
+link's value n/d.
+
 With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
 a third monitor: such a path is the concatenation of shorter monitor-to-
@@ -87,79 +94,74 @@ class IdentifiabilityReport:
 # exact elimination over the rationals, kept in integers
 
 
-def _gcd_normalize(
-    row: list[int], pivot: int, rhs: Fraction | None
-) -> tuple[list[int], Fraction | None]:
+def _gcd_normalize(row: list[int], pivot: int) -> list[int]:
     g = 0
     for x in row:
         if x:
             g = gcd(g, x)
     if g == 0:
-        return row, rhs
+        return row
     if row[pivot] < 0:
         g = -g
-    return [x // g for x in row], None if rhs is None else rhs / g
+    return [x // g for x in row]
 
 
 class _Reducer:
-    """Incremental fraction-free row reduction with optional rational RHS.
+    """Incremental fraction-free row reduction over the integers.  A row may
+    carry the value column after its ``ncols`` link columns; pivots never
+    fall in it.
 
     Invariant after every ``add``: each basis row is zero at every other
     basis row's pivot column.  A unit coordinate vector then lies in the row
     space exactly when its column is a pivot whose basis row has a single
-    nonzero entry.
+    nonzero entry among the first ``ncols``.
     """
 
-    def __init__(self, ncols: int, with_rhs: bool = False):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.with_rhs = with_rhs
         self.pivots: list[int] = []
         self.basis: list[list[int]] = []
-        self.rhs: list[Fraction | None] = []  # all None without RHS
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def add(self, row: tuple[int, ...] | list[int], rhs: Fraction = Fraction(0)) -> bool:
+    def add(self, row: tuple[int, ...] | list[int]) -> bool:
         work = list(row)
-        acc = rhs if self.with_rhs else None
         for i, pcol in enumerate(self.pivots):
             a = work[pcol]
             if a:
                 b = self.basis[i]
                 lead = b[pcol]
                 work = [lead * x - a * y for x, y in zip(work, b)]
-                if self.with_rhs:
-                    acc = lead * acc - a * self.rhs[i]
-        pivot = next((c for c, x in enumerate(work) if x), None)
+        pivot = next((c for c in range(self.ncols) if work[c]), None)
         if pivot is None:
-            if self.with_rhs and acc != 0:
+            if any(work[self.ncols:]):
                 raise InconsistentMeasurementsError(
                     "measurement vector is inconsistent with the paths"
                 )
             return False
-        work, acc = _gcd_normalize(work, pivot, acc)
+        work = _gcd_normalize(work, pivot)
         # keep the basis fully reduced: clear the new pivot column everywhere
         lead = work[pivot]
         for i in range(len(self.basis)):
             a = self.basis[i][pivot]
             if a:
                 merged = [lead * x - a * y for x, y in zip(self.basis[i], work)]
-                merged_rhs = lead * self.rhs[i] - a * acc if self.with_rhs else self.rhs[i]
-                self.basis[i], self.rhs[i] = _gcd_normalize(merged, self.pivots[i], merged_rhs)
+                self.basis[i] = _gcd_normalize(merged, self.pivots[i])
         at = next((i for i, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
         self.pivots.insert(at, pivot)
         self.basis.insert(at, work)
-        self.rhs.insert(at, acc)
         return True
 
-    def unit_pivots(self) -> list[int]:
-        """Pivot columns whose basis row is a multiple of a unit vector."""
+    def unit_rows(self) -> list[tuple[int, list[int]]]:
+        """(pivot column, basis row) for each basis row whose first ``ncols``
+        entries are a multiple of a unit vector."""
+        n = self.ncols
         return [
-            pcol
+            (pcol, row)
             for pcol, row in zip(self.pivots, self.basis)
-            if sum(1 for x in row if x) == 1
+            if row[:n].count(0) == n - 1
         ]
 
 
@@ -230,7 +232,7 @@ def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
     if red.rank == ncols:
         all_edges = frozenset(matrix.edge_index)
         return IdentifiabilityReport(ncols, all_edges, frozenset(), True)
-    good = frozenset(matrix.edge_index[c] for c in red.unit_pivots())
+    good = frozenset(matrix.edge_index[c] for c, _ in red.unit_rows())
     bad = frozenset(matrix.edge_index) - good
     return IdentifiabilityReport(red.rank, good, bad, not bad)
 
@@ -259,16 +261,12 @@ def recover(matrix: MeasurementMatrix, vector: MeasurementVector) -> dict[Edge, 
     """
     if len(vector.values) != len(matrix.rows):
         raise ValueError("vector length must match the number of matrix rows")
-    ncols = len(matrix.edge_index)
-    red = _Reducer(ncols, with_rhs=True)
+    red = _Reducer(len(matrix.edge_index))
     for row, value in zip(matrix.rows, vector.values):
-        red.add(row, Fraction(value))
-    out: dict[Edge, Fraction] = {}
-    for i, pcol in enumerate(red.pivots):
-        row = red.basis[i]
-        if sum(1 for x in row if x) == 1:
-            out[matrix.edge_index[pcol]] = red.rhs[i] / row[pcol]
-    return out
+        value = Fraction(value)
+        q = value.denominator
+        red.add([q * x for x in row] + [value.numerator])
+    return {matrix.edge_index[pcol]: Fraction(row[-1], row[pcol]) for pcol, row in red.unit_rows()}
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,8 @@ def verify_placement(g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CA
     monitors = trace.monitors
     if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
         return False
-    ext = extend(g, monitors)
-    if not is_k_vertex_connected(ext.graph, 3):
-        return False
     try:
-        return _fully_identifiable(g, monitors, cap)
+        return _achieves_full_identifiability(g, monitors, cap)
     except PathExplosionError:
         return None
 

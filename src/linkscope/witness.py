@@ -10,6 +10,10 @@ cycle.  Searches are deterministic: cycles are enumerated in (length,
 canonical tuple) order and paths in (length, lexicographic) order, with
 first-hit return.  Graphs beyond 12 nodes are rejected up front.
 
+Every cycle and attachment path is read off graph.iter_simple_paths: a
+cycle is a path closed by one edge, an attachment path a path to one
+target with the other targets blocked.
+
 Arguments are validated once, at the public entry points.  The cycles a
 search takes from cycles_through_edge are valid by construction, so they go
 to the private checks without being validated again, and each search builds
@@ -65,22 +69,22 @@ def cycles_through_edge(g: Graph, vw: Edge) -> list[Cycle]:
 
 
 def all_cycles(g: Graph) -> list[Cycle]:
-    """Every simple cycle of the graph, canonical, sorted by (length, tuple)."""
-    out: set[Cycle] = set()
-    for anchor in g.sorted_nodes():
-        # cycles whose smallest node is the anchor; higher nodes only
-        stack: list[tuple[int, tuple[int, ...]]] = [(anchor, (anchor,))]
-        while stack:
-            u, path = stack.pop()
-            for x in sorted(g.adj[u]):
-                if x == anchor and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        out.add(canonical_cycle(path))
-                    continue
-                if x <= anchor or x in path:
-                    continue
-                stack.append((x, path + (x,)))
-    return sorted(out, key=lambda c: (len(c), c))
+    """Every simple cycle of the graph, canonical, sorted by (length, tuple).
+
+    A cycle is found once, from its smallest node a and the larger x of a's
+    two neighbours on it: as the a..x path through nodes above a whose
+    second node is the smaller neighbour.  That path is already canonical."""
+    out: list[Cycle] = []
+    below: set[int] = set()
+    for a in g.sorted_nodes():
+        for x in sorted(g.adj[a]):
+            if x > a:
+                out.extend(
+                    p for p in iter_simple_paths(g, a, x, below) if len(p) > 2 and p[1] < x
+                )
+        below.add(a)
+    out.sort(key=lambda c: (len(c), c))
+    return out
 
 
 def is_nonseparating_cycle(g: Graph, cycle: Cycle, monitors: MonitorSet) -> bool:
@@ -130,26 +134,8 @@ def _attachment_paths(g: Graph, start: int, targets: set[int], blocked: set[int]
         return [(start,)]
     if start in blocked:
         return []
-    found: list[Path] = []
-    path = [start]
-    on_path = {start}
-
-    def _walk(u: int) -> None:
-        for x in sorted(g.adj[u]):
-            if x in on_path:
-                continue
-            if x in targets:
-                found.append(tuple(path) + (x,))
-                continue
-            if x in blocked:
-                continue
-            path.append(x)
-            on_path.add(x)
-            _walk(x)
-            path.pop()
-            on_path.remove(x)
-
-    _walk(start)
+    # the other targets are blocked, so a path to one target touches no other
+    found = [p for t in targets for p in iter_simple_paths(g, start, t, blocked)]
     found.sort(key=lambda p: (len(p), p))
     return found
 

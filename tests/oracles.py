@@ -61,6 +61,23 @@ def reference_canonical_cycle(cycle: tuple) -> tuple:
     return best
 
 
+def reference_all_cycles(g: Graph) -> list[tuple]:
+    """Every simple cycle, canonical, sorted by (length, tuple): a stack DFS
+    from each anchor through higher nodes only, closing back at the anchor,
+    with each cycle's two directions merged in a set."""
+    out: set[tuple] = set()
+    for anchor in sorted(g.nodes):
+        stack = [(anchor, (anchor,))]
+        while stack:
+            u, path = stack.pop()
+            for x in sorted(g.adj[u]):
+                if x == anchor and len(path) >= 3:
+                    out.add(reference_canonical_cycle(path))
+                elif x > anchor and x not in path:
+                    stack.append((x, path + (x,)))
+    return sorted(out, key=lambda c: (len(c), c))
+
+
 def brute_is_k_edge_connected(g: Graph, k: int) -> bool:
     if not is_connected(g):
         return False

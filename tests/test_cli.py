@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkscope.cli import main
 from linkscope.corpus import random_connected_graph
@@ -203,6 +208,93 @@ class TestIdentify:
         lines = out.read_text().splitlines()
         assert lines[0] == "1,2 ; 100 ; "
         assert lines[1] == "1,3,2 ; 011 ; "
+
+
+class TestHostileInput:
+    def test_non_utf8_graph_file(self, capsys, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"1 2\n\xff\xfe 3\n")
+        assert main(["check", str(p), "--monitors", "1,2"]) == 2
+
+    def test_non_utf8_weights_file(self, capsys, tri_file, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_bytes(b"1 2 1\n1 3 \xff\n")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+
+    @pytest.mark.parametrize("value", ["1e5000", "2E-3", "1.5e2"])
+    def test_exponent_weight_rejected(self, capsys, tri_file, tmp_path, value):
+        w = tmp_path / "w.txt"
+        w.write_text(f"1 2 1\n1 3 {value}\n2 3 1\n")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_decimal_weight_accepted(self, capsys, tri_file, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("1 2 0.5\n1 3 1\n2 3 2\n")
+        code, report = run(capsys, ["identify", tri_file, "--monitors", "1,2", "--weights", str(w)])
+        assert code == 0
+        assert report["measurements"] == ["1/2", "3"]
+
+
+@st.composite
+def _cli_inputs(draw):
+    """Random bytes, or text shaped like the input formats so that some
+    draws get past parsing and run the whole command."""
+    pairs = st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda e: e[0] < e[1])
+    edges = sorted(draw(st.sets(pairs, min_size=1, max_size=12)))
+    values = st.sampled_from(["1", "7", "2/3", "0.5", "3/2", "12", "1e9", "0"])
+    graph = draw(
+        st.one_of(
+            st.binary(max_size=40),
+            st.text(alphabet="0123456789 \n#:,-./nodes", max_size=40).map(str.encode),
+            st.just("".join(f"{u} {v}\n" for u, v in edges).encode()),
+        )
+    )
+    monitor_ids = st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True)
+    monitors = draw(
+        st.one_of(st.binary(max_size=8), monitor_ids.map(lambda ms: ",".join(map(str, ms)).encode()))
+    )
+    weights = draw(
+        st.one_of(
+            st.binary(max_size=40),
+            st.lists(values, min_size=len(edges), max_size=len(edges)).map(
+                lambda vs: "".join(f"{u} {v} {x}\n" for (u, v), x in zip(edges, vs)).encode()
+            ),
+        )
+    )
+    return graph, monitors, weights
+
+
+class TestFuzz:
+    @given(command=st.sampled_from(["check", "place", "identify", "witness"]), inputs=_cli_inputs())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_random_inputs_end_in_documented_exit_codes(self, command, inputs):
+        graph, monitors, weights = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            gpath, wpath = os.path.join(tmp, "g.txt"), os.path.join(tmp, "w.txt")
+            with open(gpath, "wb") as fh:
+                fh.write(graph)
+            with open(wpath, "wb") as fh:
+                fh.write(weights)
+            argv = [command, gpath]
+            if command != "place":
+                argv += ["--monitors", monitors.decode("latin-1")]
+            if command == "identify":
+                argv += ["--weights", wpath, "--cap", "500"]
+            if command == "witness":
+                argv += ["--link", "1-2", "--kind", "lemma3"]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the arguments
+                    code = exc.code
+        assert code in (0, 2, 3, 4)
+        try:
+            g = parse_graph(graph.decode("utf-8"))
+            text = serialize(g)
+        except ValueError:  # not a graph, or isolated nodes with no header form
+            return
+        assert parse_graph(text) == g
 
 
 class TestWitness:

@@ -13,6 +13,7 @@ from linkscope.errors import (
     SelfLoopError,
 )
 from linkscope.graph import (
+    MAX_HEADER_NODES,
     Graph,
     add_edge,
     canonical_cycle,
@@ -78,6 +79,12 @@ class TestParse:
     def test_negative_id_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("-1 2")
+
+    def test_header_above_limit_rejected(self):
+        # rejected before the node set is allocated
+        with pytest.raises(GraphParseError) as err:
+            parse_graph(f"nodes: {MAX_HEADER_NODES + 1}\n1 2\n")
+        assert err.value.line == 1
 
 
 class TestSerialize:

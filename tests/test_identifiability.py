@@ -164,6 +164,7 @@ class TestSimulateRecover:
 
     def test_recovery_exact_on_random_instances(self):
         rng = random.Random(99)
+        perturbed = 0
         for trial in range(30):
             g = random_connected_graph(5 + trial % 3, 0.5, 500 + trial)
             monitors = tuple(sorted(g.nodes)[:2])
@@ -176,6 +177,18 @@ class TestSimulateRecover:
             assert set(got) == set(report.identifiable)
             for e, value in got.items():
                 assert value == w.weights[e]
+            # a non-integer error on a path the other paths span contradicts them
+            rows = matrix.rows
+            spanned = (i for i in reversed(range(len(rows))) if fraction_rank(rows[:i] + rows[i + 1 :]) == report.rank)
+            i = next(spanned, None)
+            if i is None:
+                continue  # every path adds rank, so no measurement is checked by the others
+            off = list(vector.values)
+            off[i] += Fraction(1, 997)
+            with pytest.raises(InconsistentMeasurementsError):
+                recover(matrix, MeasurementVector(tuple(off)))
+            perturbed += 1
+        assert perturbed >= 10
 
 
 class TestBridgeAndExterior:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from linkscope.corpus import named_fixtures
+from linkscope.corpus import all_connected_graphs, named_fixtures
 from linkscope.errors import InvalidCycleError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
 from linkscope.witness import (
@@ -17,6 +17,7 @@ from linkscope.witness import (
 )
 
 from .conftest import c_n, k_n
+from .oracles import reference_all_cycles
 
 
 def case_b_instance():
@@ -57,6 +58,11 @@ class TestCycleEnumeration:
 
     def test_all_cycles_c4(self, c4):
         assert all_cycles(c4) == [(1, 2, 3, 4)]
+
+    def test_all_cycles_matches_reference_on_small_graphs(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                assert all_cycles(g) == reference_all_cycles(g), sorted(g.edges)
 
 
 class TestFindNonseparating:
