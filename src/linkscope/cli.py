@@ -1,8 +1,10 @@
 """Batch command-line front-end.
 
 Exit codes: 0 success, 2 file or parse problems, 3 violated preconditions,
-4 resource caps.  All reports are JSON on stdout; edges render as "u-v" with
-u < v and rationals as exact "p/q" strings.
+4 resource caps: the path cap, and measurements with more digits than the
+interpreter's limit for printing integers (checked before any reduction).
+All reports are JSON on stdout; edges render as "u-v" with u < v and
+rationals as exact "p/q" strings.
 """
 
 from __future__ import annotations
@@ -222,6 +224,18 @@ def _cmd_identify(args) -> int:
         assignment = _load_weights(args.weights, g)
         matrix, vector = simulate(g, monitors, assignment, cap)
         values = vector.values
+        # str() refuses integers longer than the interpreter's digit limit;
+        # check before the reductions (0, also on interpreters without a
+        # limit, means unlimited)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            bound = 10**limit
+            if any(abs(x.numerator) >= bound or x.denominator >= bound for x in values):
+                print(
+                    f"error: a measurement has more than {limit} digits, the limit for printing an integer",
+                    file=sys.stderr,
+                )
+                return EXIT_CAP
         recovered = recover(matrix, vector)
         report["measurements"] = [str(x) for x in values]
         report["recovered"] = {_edge_str(e): str(x) for e, x in sorted(recovered.items())}

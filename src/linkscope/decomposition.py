@@ -21,15 +21,14 @@ vertices come from the same lowpoint pass (`connectivity._lowpoint`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connectivity import _lowpoint
 from .errors import DisconnectedError
 from .graph import Edge, Graph, edge, is_connected, reachable
 
 
-@dataclass(frozen=True)
-class BiconnectedComponent:
+class BiconnectedComponent(NamedTuple):
     """A block of the host graph: maximal subgraph without a cut vertex."""
 
     nodes: frozenset[int]
@@ -41,8 +40,7 @@ class BiconnectedComponent:
         return len(self.cut_vertices)
 
 
-@dataclass(frozen=True)
-class TriconnectedComponent:
+class TriconnectedComponent(NamedTuple):
     """One canonical component of a block: rigid piece or maximal polygon.
 
     ``attachment_pairs`` are the separation pairs through which the component

@@ -3,16 +3,21 @@
 Measurements are sums of link metrics along simple paths between monitors.
 A link metric is identifiable exactly when its unit coordinate vector lies in
 the row space of the 0/1 path-edge incidence matrix; that membership is read
-off a fully reduced row basis, computed fraction-free over the integers so
-verdicts are exact and bit-reproducible.  Floating point never touches a
-verdict.
+off a fully reduced row basis, computed over the integers by Bareiss's
+integer-preserving Gauss-Jordan elimination, so verdicts are exact and
+bit-reproducible.  The basis is kept as one common pivot value d times the
+reduced row echelon form, and a new row is reduced only at the free
+(non-pivot) columns, where its residual can be nonzero.  Floating point
+never touches a verdict.
 
-Recovery runs the same elimination with one extra value column: a
-measurement p/q on a path becomes the integer row (q times the incidence
-row, then p), so the reducer never leaves the integers.  Pivots stay in the
-link columns; a row whose link part cancels while its value does not is a
-contradiction, and each unit basis row (0, .., d, .., 0 | n) reads off its
-link's value n/d.
+Recovery runs the same elimination with one extra value column: the
+measurements are scaled to their common denominator L, so a measurement on
+a path becomes the integer row (incidence row, then L times its value) and
+the reducer never leaves the integers.  Pivots stay in the link columns; a
+row whose link part cancels while its value does not is a contradiction,
+and each unit basis row (0, .., d, .., 0 | n) reads off its link's value
+n / (d L).  Simulation likewise sums weights scaled to their common
+denominator, one integer sum per path.
 
 With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
@@ -22,9 +27,9 @@ monitor paths and contributes no new rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from typing import NamedTuple
 
 from .connectivity import bridges
 from .errors import (
@@ -41,7 +46,6 @@ from .graph import (
     edge,
     is_connected,
     iter_simple_paths,
-    path_edges,
     reachable,
 )
 from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
@@ -49,23 +53,26 @@ from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
 DEFAULT_PATH_CAP = 100000
 
 
-@dataclass(frozen=True)
-class MeasurementMatrix:
+class MeasurementMatrix(NamedTuple):
     paths: tuple[Path, ...]
     edge_index: tuple[Edge, ...]
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class MetricAssignment:
-    """Strictly positive exact rational weight per graph edge."""
-
+class _MetricAssignmentFields(NamedTuple):
     weights: dict[Edge, Fraction]
 
-    def __post_init__(self):
-        for e, w in self.weights.items():
+
+class MetricAssignment(_MetricAssignmentFields):
+    """Strictly positive exact rational weight per graph edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights: dict[Edge, Fraction]):
+        for e, w in weights.items():
             if w <= 0:
                 raise ValueError(f"weight for edge {e} must be positive, got {w}")
+        return super().__new__(cls, weights)
 
     @classmethod
     def for_graph(cls, g: Graph, mapping: dict[Edge, Fraction | int]) -> "MetricAssignment":
@@ -77,13 +84,11 @@ class MetricAssignment:
         return cls(weights)
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
+class MeasurementVector(NamedTuple):
     values: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class IdentifiabilityReport:
+class IdentifiabilityReport(NamedTuple):
     rank: int
     identifiable: frozenset[Edge]
     unidentifiable: frozenset[Edge]
@@ -94,64 +99,80 @@ class IdentifiabilityReport:
 # exact elimination over the rationals, kept in integers
 
 
-def _gcd_normalize(row: list[int], pivot: int) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-    if g == 0:
-        return row
-    if row[pivot] < 0:
-        g = -g
-    return [x // g for x in row]
-
-
 class _Reducer:
-    """Incremental fraction-free row reduction over the integers.  A row may
-    carry the value column after its ``ncols`` link columns; pivots never
-    fall in it.
+    """Incremental integer-preserving Gauss-Jordan reduction (Bareiss's
+    one-step form).  A row may carry the value column after its ``ncols``
+    link columns; pivots never fall in it.
 
-    Invariant after every ``add``: each basis row is zero at every other
-    basis row's pivot column.  A unit coordinate vector then lies in the row
-    space exactly when its column is a pivot whose basis row has a single
-    nonzero entry among the first ``ncols``.
+    Invariant after every ``add``: the basis is ``d`` times the reduced row
+    echelon form of the rows kept so far, for one integer ``d > 0`` (the
+    absolute determinant of their pivot columns).  Every basis row is
+    therefore ``d`` at its own pivot and zero at every other pivot; its
+    other entries are minors of the kept rows, which is why each division
+    by the old ``d`` below is exact.  A unit coordinate vector lies in the
+    row space exactly when its column is a pivot whose basis row has a
+    single nonzero entry among the first ``ncols``.
+
+    A new row r reduces to ``d*r - sum(r[c] * B_c)`` over the pivots c it
+    touches.  That residual is zero at every pivot column, so only the free
+    (non-pivot) link columns and the value column are computed: one dot
+    product per free column, not one whole-row operation per pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
+        self.d = 1
         self.pivots: list[int] = []
         self.basis: list[list[int]] = []
+        self._free = list(range(ncols))  # non-pivot link columns, ascending
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def add(self, row: tuple[int, ...] | list[int]) -> bool:
-        work = list(row)
-        for i, pcol in enumerate(self.pivots):
-            a = work[pcol]
-            if a:
-                b = self.basis[i]
-                lead = b[pcol]
-                work = [lead * x - a * y for x, y in zip(work, b)]
-        pivot = next((c for c in range(self.ncols) if work[c]), None)
-        if pivot is None:
-            if any(work[self.ncols:]):
+        d = self.d
+        hits = [(row[c], b) for c, b in zip(self.pivots, self.basis) if row[c]]
+        free = self._free
+        cols = free + list(range(self.ncols, len(row)))
+        res = []
+        for f in cols:
+            s = d * row[f]
+            for a, b in hits:
+                s -= a * b[f]
+            res.append(s)
+        k = next((i for i in range(len(free)) if res[i]), None)
+        if k is None:
+            if any(res[len(free):]):
                 raise InconsistentMeasurementsError(
                     "measurement vector is inconsistent with the paths"
                 )
             return False
-        work = _gcd_normalize(work, pivot)
-        # keep the basis fully reduced: clear the new pivot column everywhere
-        lead = work[pivot]
-        for i in range(len(self.basis)):
-            a = self.basis[i][pivot]
-            if a:
-                merged = [lead * x - a * y for x, y in zip(self.basis[i], work)]
-                self.basis[i] = _gcd_normalize(merged, self.pivots[i])
+        pivot = free[k]
+        lead = res[k]
+        if lead < 0:
+            lead = -lead
+            res = [-x for x in res]
+        new = [0] * len(row)
+        for f, x in zip(cols, res):
+            new[f] = x
+        # keep the basis at lead times the reduced form; only the free
+        # columns, the value column and a row's own pivot can change
+        for c, b in zip(self.pivots, self.basis):
+            bp = b[pivot]
+            if bp:
+                for f in cols:
+                    b[f] = (lead * b[f] - bp * new[f]) // d
+                b[c] = lead
+            elif lead != d:
+                for f in cols:
+                    b[f] = b[f] * lead // d
+                b[c] = lead
+        self.d = lead
+        del free[k]
         at = next((i for i, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
         self.pivots.insert(at, pivot)
-        self.basis.insert(at, work)
+        self.basis.insert(at, new)
         return True
 
     def unit_rows(self) -> list[tuple[int, list[int]]]:
@@ -247,9 +268,12 @@ def simulate(
     MetricAssignment.for_graph(g, assignment.weights)  # recheck coverage
     paths = enumerate_monitor_paths(g, monitors, cap)
     matrix = build_matrix(g, paths)
-    values = tuple(
-        sum((assignment.weights[e] for e in path_edges(p)), Fraction(0)) for p in paths
-    )
+    # weights over their common denominator, so each path sum is an integer
+    scale = lcm(*(w.denominator for w in assignment.weights.values()))
+    scaled = {}
+    for (u, v), w in assignment.weights.items():
+        scaled[u, v] = scaled[v, u] = w.numerator * (scale // w.denominator)
+    values = tuple(Fraction(sum(scaled[step] for step in zip(p, p[1:])), scale) for p in paths)
     return matrix, MeasurementVector(values)
 
 
@@ -261,12 +285,16 @@ def recover(matrix: MeasurementMatrix, vector: MeasurementVector) -> dict[Edge, 
     """
     if len(vector.values) != len(matrix.rows):
         raise ValueError("vector length must match the number of matrix rows")
+    values = [Fraction(v) for v in vector.values]
+    # measurements over their common denominator: an integer value column
+    scale = lcm(*(v.denominator for v in values))
     red = _Reducer(len(matrix.edge_index))
-    for row, value in zip(matrix.rows, vector.values):
-        value = Fraction(value)
-        q = value.denominator
-        red.add([q * x for x in row] + [value.numerator])
-    return {matrix.edge_index[pcol]: Fraction(row[-1], row[pcol]) for pcol, row in red.unit_rows()}
+    for row, value in zip(matrix.rows, values):
+        red.add([*row, value.numerator * (scale // value.denominator)])
+    return {
+        matrix.edge_index[pcol]: Fraction(row[-1], row[pcol] * scale)
+        for pcol, row in red.unit_rows()
+    }
 
 
 # ---------------------------------------------------------------------------

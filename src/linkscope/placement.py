@@ -14,8 +14,8 @@ graph under the default lowest-id tie-break.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .connectivity import is_k_vertex_connected
 from .decomposition import (
@@ -41,26 +41,29 @@ from .identifiability import (
 from .tomography import MonitorSet, extend
 
 
-@dataclass(frozen=True)
-class TieBreak:
-    """Resolves each stage's free choice: deterministic lowest-id, or a
-    seeded shuffle recorded for reproducibility."""
-
+class _TieBreakFields(NamedTuple):
     policy: str = "lowest"
     seed: int | None = None
 
-    def __post_init__(self):
-        if self.policy not in ("lowest", "seeded"):
+
+class TieBreak(_TieBreakFields):
+    """Resolves each stage's free choice: deterministic lowest-id, or a
+    seeded shuffle recorded for reproducibility."""
+
+    __slots__ = ()
+
+    def __new__(cls, policy: str = "lowest", seed: int | None = None):
+        if policy not in ("lowest", "seeded"):
             raise ValueError("tie-break policy must be 'lowest' or 'seeded'")
-        if self.policy == "seeded" and self.seed is None:
+        if policy == "seeded" and seed is None:
             raise ValueError("seeded tie-break needs a seed")
+        return super().__new__(cls, policy, seed)
 
 
 LOWEST = TieBreak("lowest")
 
 
-@dataclass(frozen=True)
-class TriStageRecord:
+class TriStageRecord(NamedTuple):
     block_index: int
     component_index: int
     nodes: frozenset[int]
@@ -69,8 +72,7 @@ class TriStageRecord:
     added: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BiStageRecord:
+class BiStageRecord(NamedTuple):
     block_index: int
     nodes: frozenset[int]
     c_b: int
@@ -78,8 +80,7 @@ class BiStageRecord:
     added: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PlacementTrace:
+class PlacementTrace(NamedTuple):
     monitors: MonitorSet
     stage1_degree_monitors: frozenset[int]
     per_triconnected: tuple[TriStageRecord, ...]

@@ -15,8 +15,8 @@ two-monitor one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .connectivity import _bridges_any, is_k_edge_connected, is_k_vertex_connected
 from .errors import NotFoundError, TooFewMonitorsError
@@ -53,8 +53,7 @@ def validate_monitor_pair(g: Graph, monitors: MonitorSet) -> tuple[int, int]:
     return ms[0], ms[1]
 
 
-@dataclass(frozen=True)
-class InteriorGraph:
+class InteriorGraph(NamedTuple):
     """What remains after deleting both monitors, plus the cut-off links."""
 
     graph: Graph
@@ -62,8 +61,7 @@ class InteriorGraph:
     connected: bool
 
 
-@dataclass(frozen=True)
-class ExtendedGraph:
+class ExtendedGraph(NamedTuple):
     base: Graph
     graph: Graph
     virtual_1: int

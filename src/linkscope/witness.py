@@ -22,8 +22,6 @@ that list once per link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotFoundError, NotInteriorError, TooLargeError
 from .graph import (
     Cycle,
@@ -153,15 +151,35 @@ def _attachment_exists(g: Graph, start: int, targets: set[int], blocked: set[int
 # witnesses
 
 
-@dataclass(frozen=True)
-class Lemma3Witness:
-    """Two cycles through the link plus disjoint monitor attachment paths."""
+class _Witness:
+    """Field equality, hash and repr over the instance ``__dict__``, which
+    holds exactly the fields, so ``vars()`` of a witness is its fields.  The
+    fields are set once, in ``__init__``."""
 
-    link: Edge
-    cycle_f: Cycle   # non-separating, attachment path_1 meets it once
-    cycle_c: Cycle   # second cycle, attachment path_2 meets it once
-    path_1: Path
-    path_2: Path
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a witness")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Lemma3Witness(_Witness):
+    """Two cycles through the link plus disjoint monitor attachment paths.
+
+    ``cycle_f`` is non-separating and ``path_1`` meets it once; ``path_2``
+    meets the second cycle ``cycle_c`` once."""
+
+    def __init__(self, link: Edge, cycle_f: Cycle, cycle_c: Cycle, path_1: Path, path_2: Path):
+        vars(self).update(link=link, cycle_f=cycle_f, cycle_c=cycle_c, path_1=path_1, path_2=path_2)
 
     def validate(self, g: Graph, monitors: MonitorSet) -> None:
         v, w = self.link
@@ -189,14 +207,12 @@ class Lemma3Witness:
             raise ValueError("second path must meet the second cycle exactly at its end")
 
 
-@dataclass(frozen=True)
-class Lemma4Witness:
-    """Monitor-free non-separating cycle with per-endpoint attachment paths."""
+class Lemma4Witness(_Witness):
+    """Monitor-free non-separating cycle with per-endpoint attachment paths:
+    ``path_to_v`` ends at ``link[0]`` and ``path_to_w`` at ``link[1]``."""
 
-    link: Edge
-    cycle: Cycle
-    path_to_v: Path  # ends at link[0]
-    path_to_w: Path  # ends at link[1]
+    def __init__(self, link: Edge, cycle: Cycle, path_to_v: Path, path_to_w: Path):
+        vars(self).update(link=link, cycle=cycle, path_to_v=path_to_v, path_to_w=path_to_w)
 
     def validate(self, g: Graph, monitors: MonitorSet) -> None:
         v, w = self.link

@@ -273,7 +273,9 @@ def reference_split_components(block_nodes: frozenset, block_edges: frozenset):
 # plain-Fraction elimination for rank and row-space membership
 
 
-def fraction_rank(rows: list[tuple[int, ...]]) -> int:
+def reference_rref(rows) -> list[list[Fraction]]:
+    """Nonzero rows of the reduced row echelon form, by plain Fraction
+    Gauss-Jordan: each pivot scaled to 1 and cleared from every other row."""
     mat = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -293,7 +295,11 @@ def fraction_rank(rows: list[tuple[int, ...]]) -> int:
                 factor = mat[r][col]
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
-    return rank
+    return mat[:rank]
+
+
+def fraction_rank(rows: list[tuple[int, ...]]) -> int:
+    return len(reference_rref(rows))
 
 
 def fraction_identifiable_columns(rows: list[tuple[int, ...]], ncols: int) -> set[int]:
@@ -305,3 +311,10 @@ def fraction_identifiable_columns(rows: list[tuple[int, ...]], ncols: int) -> se
         if fraction_rank(list(rows) + [unit]) == base:
             out.add(col)
     return out
+
+
+def reference_path_sums(paths, weights: dict) -> tuple[Fraction, ...]:
+    """Metric sum of each path, one Fraction addition per edge."""
+    return tuple(
+        sum((weights[edge(a, b)] for a, b in zip(p, p[1:])), Fraction(0)) for p in paths
+    )

@@ -3,12 +3,15 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkscope
 from linkscope.cli import main
 from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
@@ -235,6 +238,33 @@ class TestHostileInput:
         assert code == 0
         assert report["measurements"] == ["1/2", "3"]
 
+    # each weight prints, but the path 1-3-2 sums to a fraction whose
+    # denominator has about 5,000 digits, beyond the default limit of 4,300
+    LONG_A, LONG_B = 10**2500 + 1, 3 * 10**2500 + 7
+
+    def _long_sum_argv(self, tri_file, tmp_path) -> list[str]:
+        w = tmp_path / "w.txt"
+        w.write_text(f"1 2 1\n1 3 1/{self.LONG_A}\n2 3 1/{self.LONG_B}\n")
+        return ["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]
+
+    def test_measurement_too_long_to_print_is_a_cap(self, capsys, tri_file, tmp_path):
+        code = main(self._long_sum_argv(tri_file, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert str(sys.get_int_max_str_digits()) in captured.err
+
+    def test_no_print_limit_prints_long_measurements(self, capsys, tri_file, tmp_path):
+        a, b = self.LONG_A, self.LONG_B
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # 0 lifts the limit
+        try:
+            code, report = run(capsys, self._long_sum_argv(tri_file, tmp_path))
+            assert code == 0
+            assert report["measurements"][1] == f"{a + b}/{a * b}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 @st.composite
 def _cli_inputs(draw):
@@ -394,6 +424,16 @@ class TestGoldenReport:
                 ]
             },
         }
+
+
+class TestStartup:
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        # every run of the CLI pays for what importing it loads
+        src = os.path.dirname(os.path.dirname(linkscope.__file__))
+        probe = "import sys, linkscope.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCorpusDump:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,13 @@ from linkscope.identifiability import (
     check_lemma1,
     enumerate_monitor_paths,
     identifiable_links,
+    _Reducer,
     recover,
     simulate,
 )
 
 from .conftest import path_n
-from .oracles import fraction_identifiable_columns, fraction_rank
+from .oracles import fraction_identifiable_columns, fraction_rank, reference_path_sums, reference_rref
 
 
 class TestPathEnumeration:
@@ -150,6 +152,10 @@ class TestSimulateRecover:
         with pytest.raises(ValueError):
             MetricAssignment.for_graph(triangle, {(1, 2): 0, (1, 3): 2, (2, 3): 3})
 
+    def test_direct_construction_checks_weights(self):
+        with pytest.raises(ValueError):
+            MetricAssignment({(1, 2): Fraction(0)})
+
     def test_coverage_enforced(self, triangle):
         with pytest.raises(ValueError):
             MetricAssignment.for_graph(triangle, {(1, 2): 1})
@@ -189,6 +195,116 @@ class TestSimulateRecover:
                 recover(matrix, MeasurementVector(tuple(off)))
             perturbed += 1
         assert perturbed >= 10
+
+
+def _identify_sized_instances(count: int = 30):
+    """Seeded graphs of the identify command's everyday size: 12-16 nodes, a
+    random spanning tree plus random extra links up to average degree 3.5,
+    and two or three monitors."""
+    rng = random.Random(2024)
+    for trial in range(count):
+        n = 12 + trial % 5
+        order = rng.sample(range(1, n + 1), n)
+        edges = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+        while len(edges) < round(n * 3.5 / 2):
+            edges.add(tuple(sorted(rng.sample(order, 2))))
+        yield Graph(edges=edges), tuple(sorted(rng.sample(order, 2 + trial % 2)))
+
+
+def _small_two_monitor_instances():
+    for n in (4, 5):
+        for g in all_connected_graphs(n):
+            for pair in combinations(sorted(g.nodes), 2):
+                yield g, pair
+
+
+class TestReducer:
+    """_Reducer against a plain Fraction Gauss-Jordan, after every add."""
+
+    @staticmethod
+    def _check(rows, ncols: int) -> int:
+        red = _Reducer(ncols)
+        ref: list = []  # reference_rref of the rows added so far
+        pivots: list[int] = []
+        for row in rows:
+            before = [list(b) for b in red.basis]
+            kept = red.add(row)
+            assert red.d > 0
+            if kept:
+                # the reduced form of the rows so far is that of the earlier
+                # rows' reduced form plus this row
+                new_ref = reference_rref(ref + [row])
+                assert len(new_ref) == len(ref) + 1
+                ref, pivots = new_ref, [next(c for c, x in enumerate(r) if x) for r in new_ref]
+                assert max(pivots) < ncols
+                assert len(red.basis) == len(ref)
+                for b, r in zip(red.basis, ref):
+                    assert [v * x.denominator for v, x in zip(b, r)] == [red.d * x.numerator for x in r]
+            else:
+                # row = sum of row[p] times the reduced row of pivot p, so the
+                # reduced form is unchanged (it already holds at the pivots)
+                hits = [(row[p], r) for p, r in zip(pivots, ref) if row[p]]
+                others = set(range(len(row))) - set(pivots)
+                assert all(row[c] == sum(a * r[c] for a, r in hits) for c in others)
+                assert red.basis == before
+        assert red.rank == len(ref)
+        return red.rank
+
+    @staticmethod
+    def _with_values(matrix, rng) -> list[list[int]]:
+        """Incidence rows with a value column: the path sums of random
+        rational weights, times the sums' common denominator."""
+        w = [Fraction(rng.randint(1, 99), rng.randint(1, 12)) for _ in matrix.edge_index]
+        sums = [sum(x for a, x in zip(row, w) if a) for row in matrix.rows]
+        scale = lcm(*(v.denominator for v in sums))
+        return [[*row, int(v * scale)] for row, v in zip(matrix.rows, sums)]
+
+    def test_basis_is_d_times_rref_on_small_instances(self):
+        rng = random.Random(5)
+        count = 0
+        for g, pair in _small_two_monitor_instances():
+            m = build_matrix(g, enumerate_monitor_paths(g, pair))
+            ncols = len(m.edge_index)
+            rank = self._check([list(r) for r in m.rows], ncols)
+            assert self._check(self._with_values(m, rng), ncols) == rank
+            count += 1
+        assert count == 38 * 6 + 728 * 10
+
+    def test_basis_is_d_times_rref_on_identify_sized_instances(self):
+        rng = random.Random(6)
+        for g, monitors in _identify_sized_instances():
+            m = build_matrix(g, enumerate_monitor_paths(g, monitors))
+            ncols = len(m.edge_index)
+            rank = self._check([list(r) for r in m.rows], ncols)
+            assert self._check(self._with_values(m, rng), ncols) == rank
+
+
+class TestSimulateOracle:
+    """simulate's integer path sums against per-edge Fraction addition."""
+
+    # denominators that share factors, so the common denominator is smaller
+    # than their product and each path sum's fraction must be reduced
+    DENOMINATORS = (1, 2, 3, 4, 6, 8, 9, 12, 18, 36, 7, 14, 49)
+
+    def _weights(self, g, rng) -> MetricAssignment:
+        return MetricAssignment.for_graph(
+            g, {e: Fraction(rng.randint(1, 99), rng.choice(self.DENOMINATORS)) for e in g.edges}
+        )
+
+    def test_small_instances(self):
+        rng = random.Random(8)
+        for g, pair in _small_two_monitor_instances():
+            w = self._weights(g, rng)
+            matrix, vector = simulate(g, pair, w)
+            assert vector.values == reference_path_sums(matrix.paths, w.weights)
+
+    def test_identify_sized_instances(self):
+        rng = random.Random(9)
+        for g, monitors in _identify_sized_instances():
+            w = self._weights(g, rng)
+            matrix, vector = simulate(g, monitors, w)
+            assert vector.values == reference_path_sums(matrix.paths, w.weights)
+            assert all(type(x) is Fraction for x in vector.values)
 
 
 class TestBridgeAndExterior:

@@ -60,6 +60,10 @@ class TestMmpTraces:
         with pytest.raises(ValueError):
             TieBreak("seeded")
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            TieBreak("random", 3)
+
     def test_stage1_complete_on_corpus(self):
         for i, g in enumerate(all_connected_graphs(5)):
             if i % 13:

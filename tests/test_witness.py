@@ -7,6 +7,7 @@ from linkscope.errors import InvalidCycleError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
 from linkscope.witness import (
     Lemma3Witness,
+    Lemma4Witness,
     all_cycles,
     cycles_through_edge,
     find_lemma3_witness,
@@ -155,6 +156,41 @@ class TestLemma4:
         big = c_n(13)
         with pytest.raises(TooLargeError):
             find_lemma4_witness(big, (5, 6), (1, 2))
+
+
+class TestWitnessRecords:
+    """Witnesses are plain objects whose vars() are exactly their fields."""
+
+    def test_vars_are_the_fields(self, k4):
+        w3 = find_lemma3_witness(k4, (3, 4), (1, 2))
+        assert vars(w3) == {
+            "link": (3, 4),
+            "cycle_f": (1, 3, 4),
+            "cycle_c": (2, 3, 4),
+            "path_1": (1,),
+            "path_2": (2,),
+        }
+        g, monitors, link = case_b_instance()
+        w4 = find_lemma4_witness(g, link, monitors)
+        assert vars(w4) == {
+            "link": link,
+            "cycle": (1, 2, 3),
+            "path_to_v": (5, 2),
+            "path_to_w": (4, 3),
+        }
+
+    def test_equality_hash_and_repr_follow_the_fields(self):
+        a = Lemma4Witness((2, 3), (1, 2, 3), (5, 2), (4, 3))
+        b = Lemma4Witness(link=(2, 3), cycle=(1, 2, 3), path_to_v=(5, 2), path_to_w=(4, 3))
+        assert a == b and hash(a) == hash(b)
+        assert a != Lemma4Witness((2, 3), (1, 2, 3), (4, 2), (5, 3))
+        assert a != Lemma3Witness((2, 3), (1, 2, 3), (1, 2, 3), (5,), (4,))
+        assert repr(a) == "Lemma4Witness(link=(2, 3), cycle=(1, 2, 3), path_to_v=(5, 2), path_to_w=(4, 3))"
+
+    def test_fields_cannot_be_reassigned(self, k4):
+        w = find_lemma3_witness(k4, (3, 4), (1, 2))
+        with pytest.raises(AttributeError):
+            w.link = (1, 2)
 
 
 class TestCountBound:
