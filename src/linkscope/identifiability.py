@@ -23,13 +23,24 @@ With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
 a third monitor: such a path is the concatenation of shorter monitor-to-
 monitor paths and contributes no new rank.
+
+Enumeration grows with the number of simple paths and is capped.  Full
+identifiability has a cheaper positive proof: ``constructed_paths`` builds
+measurement paths directly from spanning trees, and ``certify_full_rank``
+feeds them to the same reducer until the rank reaches the number of links.
+A full rank on some real rows is a full rank of the whole matrix, so that
+verdict is exact; falling short proves nothing, and only enumeration (or a
+structural test) can then decide.  Placement verification uses the
+certificate first; ``identify`` still enumerates every path.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import count
 from math import lcm
-from typing import NamedTuple
+from typing import Container, Iterator, NamedTuple
 
 from .connectivity import bridges
 from .errors import (
@@ -214,31 +225,41 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
     return out
 
 
-def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
-    """0/1 incidence of edges on paths; columns in canonical edge order.
-
-    Each path is checked in the pass that sets its row: it must have at
-    least one edge, no repeated node, and every step must be a graph edge
-    (which also keeps out nodes the graph does not have)."""
-    cols = tuple(g.sorted_edges())
-    # both orientations, so a step is looked up without normalising it
+def _column_index(cols: tuple[Edge, ...]) -> dict[tuple[int, int], int]:
+    """Column of each link, under both orientations, so a path step is
+    looked up without normalising it."""
     index = {}
     for i, (u, v) in enumerate(cols):
         index[u, v] = index[v, u] = i
-    rows = []
-    for p in paths:
-        if len(p) < 2:
-            raise InvalidPathError(f"measurement path must have at least one edge: {p}")
-        if len(set(p)) != len(p):
+    return index
+
+
+def _row(p: Path, index: dict[tuple[int, int], int], ncols: int) -> tuple[int, ...]:
+    """0/1 incidence row of a path, checked as it is set: at least one edge,
+    no repeated node, and every step a graph edge (which also keeps out
+    nodes the graph does not have)."""
+    if len(p) < 2:
+        raise InvalidPathError(f"measurement path must have at least one edge: {p}")
+    if len(set(p)) != len(p):
+        raise InvalidPathError(f"not a simple path of the graph: {p}")
+    row = [0] * ncols
+    for step in zip(p, p[1:]):
+        i = index.get(step)
+        if i is None:
             raise InvalidPathError(f"not a simple path of the graph: {p}")
-        row = [0] * len(cols)
-        for step in zip(p, p[1:]):
-            i = index.get(step)
-            if i is None:
-                raise InvalidPathError(f"not a simple path of the graph: {p}")
-            row[i] = 1
-        rows.append(tuple(row))
-    return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, tuple(rows))
+        row[i] = 1
+    return tuple(row)
+
+
+def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
+    """0/1 incidence of edges on paths; columns in canonical edge order.
+    Each path is checked in the pass that sets its row (see ``_row``)."""
+    cols = tuple(g.sorted_edges())
+    index = _column_index(cols)
+    # a list, not a generator: tuple() grows a generator's result by
+    # reallocation, which cost the scan benchmark about 0.75 MiB of peak RSS
+    rows = tuple([_row(p, index, len(cols)) for p in paths])
+    return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, rows)
 
 
 def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
@@ -256,6 +277,130 @@ def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
     good = frozenset(matrix.edge_index[c] for c, _ in red.unit_rows())
     bad = frozenset(matrix.edge_index) - good
     return IdentifiabilityReport(red.rank, good, bad, not bad)
+
+
+# ---------------------------------------------------------------------------
+# constructed measurement paths: a positive rank certificate
+
+
+def _bfs_routes(nbrs: dict[int, list[int]], root: int, removed: Container[int]) -> dict[int, Path]:
+    """Breadth-first spanning tree from root, avoiding removed nodes, as the
+    tree path root..v of each node v it reaches."""
+    routes = {root: (root,)}
+    queue = [root]
+    for u in queue:
+        for w in nbrs[u]:
+            if w not in routes and w not in removed:
+                routes[w] = (*routes[u], w)
+                queue.append(w)
+    return routes
+
+
+def _dfs_routes(nbrs: dict[int, list[int]], root: int, removed: Container[int]) -> dict[int, Path]:
+    """Depth-first counterpart of ``_bfs_routes``."""
+    routes = {root: (root,)}
+    stack = [(root, iter(nbrs[root]))]
+    while stack:
+        u, rest = stack[-1]
+        for w in rest:
+            if w not in routes and w not in removed:
+                routes[w] = (*routes[u], w)
+                stack.append((w, iter(nbrs[w])))
+                break
+        else:
+            stack.pop()
+    return routes
+
+
+def _neighbour_lists(g: Graph, order: list[int]) -> dict[int, list[int]]:
+    position = {v: i for i, v in enumerate(order)}
+    return {v: sorted(g.adj[v], key=position.__getitem__) for v in order}
+
+
+def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
+    """Measurement paths built directly from spanning trees, each yielded
+    once, in the spirit of the path construction of Ma, He, Leung, Towsley
+    and Swami (ICDCS 2013).
+
+    A monitor pair a < b takes one tree grown from a in G - {b, other
+    monitors} and one grown from b in G - {a, other monitors}.  Each link
+    (u, v), in each orientation, joins the tree path a..u, the link and the
+    tree path v..b; the join is kept when the two halves share no node.  So
+    every path yielded runs from a to b, repeats no node and passes no other
+    monitor: it is one of the paths ``enumerate_monitor_paths`` lists, in
+    the same orientation.
+
+    The trees are grown in rounds.  The first four are breadth-first then
+    depth-first, with neighbours in ascending node order, then in
+    descending order; after them every round is depth-first, each tree with
+    its own order shuffled by ``random.Random(0)``.  A round joins only the
+    pairs that contain its hub monitor, the next monitor in turn: with one
+    tree per monitor, the joins of the other pairs add almost no rank, and
+    on graphs with many monitors they multiplied the rows needed.  The
+    generator ends once a whole turn of hubs (as many rounds as there are
+    monitors) builds no path it has not yielded before.
+    """
+    ms = sorted(validate_monitors(g, monitors, minimum=2))
+    nodes = g.sorted_nodes()
+    links = g.sorted_edges()
+    # G - {b, other monitors} is G minus every monitor but a, so a's tree
+    # serves every pair that contains a
+    keep_out = {m: set(ms) - {m} for m in ms}
+    rng = random.Random(0)
+    seen: set[Path] = set()
+    empty = 0
+    for r in count():
+        if r < 4:
+            grow = _dfs_routes if r % 2 else _bfs_routes
+            nbrs = _neighbour_lists(g, nodes if r < 2 else nodes[::-1])
+            trees = {m: grow(nbrs, m, keep_out[m]) for m in ms}
+        else:
+            trees = {}
+            for m in ms:
+                order = nodes[:]
+                rng.shuffle(order)
+                trees[m] = _dfs_routes(_neighbour_lists(g, order), m, keep_out[m])
+        hub = ms[r % len(ms)]
+        before = len(seen)
+        for other in ms:
+            if other == hub:
+                continue
+            a, b = sorted((hub, other))
+            from_a, from_b = trees[a], trees[b]
+            for u, v in links:
+                for x, y in ((u, v), (v, u)):
+                    if x in from_a and y in from_b:
+                        p = from_a[x] + from_b[y][::-1]
+                        if p not in seen and len(set(p)) == len(p):
+                            seen.add(p)
+                            yield p
+        empty = empty + 1 if len(seen) == before else 0
+        if empty == len(ms):
+            return
+
+
+def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> tuple[bool, int]:
+    """Stream ``constructed_paths`` into the exact reducer until its rank
+    reaches the number of links.
+
+    Returns (True, rows fed) at that point: full rank on some real
+    measurement rows is full rank of the whole path matrix, so every link is
+    identifiable, and the proof is in integer arithmetic.  Returns (False,
+    rows fed) when the construction ends first, which is no evidence either
+    way.  Rows count against the cap: PathExplosionError when one more row
+    than ``cap`` would be needed."""
+    cols = tuple(g.sorted_edges())
+    index = _column_index(cols)
+    red = _Reducer(len(cols))
+    rows = 0
+    for p in constructed_paths(g, monitors):
+        if rows == cap:
+            raise PathExplosionError(cap)
+        rows += 1
+        red.add(_row(p, index, len(cols)))
+        if red.rank == len(cols):
+            return True, rows
+    return False, rows
 
 
 def simulate(

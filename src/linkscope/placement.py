@@ -35,6 +35,7 @@ from .graph import Graph, is_connected
 from .identifiability import (
     DEFAULT_PATH_CAP,
     build_matrix,
+    certify_full_rank,
     enumerate_monitor_paths,
     identifiable_links,
 )
@@ -61,6 +62,11 @@ class TieBreak(_TieBreakFields):
 
 
 LOWEST = TieBreak("lowest")
+
+# the check that decided a verdict, as ``verify_placement`` reports it
+EXTENDED_GRAPH = "extended graph"
+CONSTRUCTED_PATHS = "constructed paths"
+PATH_ENUMERATION = "path enumeration"
 
 
 class TriStageRecord(NamedTuple):
@@ -175,29 +181,53 @@ def _fully_identifiable(g: Graph, monitors: MonitorSet, cap: int) -> bool:
     return identifiable_links(build_matrix(g, paths)).fully_identifiable
 
 
-def verify_placement(g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CAP) -> bool | None:
-    """True when the extended graph is 3-vertex-connected and the rank
-    oracle confirms every link identifiable; False when either check fails.
-    None when the extended graph passed but the path count exceeded the cap,
-    so the rank oracle gave no evidence either way."""
+def verify_placement(
+    g: Graph,
+    trace: PlacementTrace,
+    cap: int = DEFAULT_PATH_CAP,
+    evidence: list[str | None] | None = None,
+) -> bool | None:
+    """Whether the trace's monitors make every link identifiable.
+
+    False when the extended graph is not 3-vertex-connected (or there are
+    fewer than three monitors).  Otherwise the exact rank oracle decides.
+    It first feeds paths built from spanning trees (``certify_full_rank``)
+    to the reducer, and reaching rank |E| proves True.  Only when the built
+    paths fall short are all paths enumerated, and the rank of that matrix
+    gives True or False.  The built rows count against ``cap``, which bounds
+    both steps together.  None means the cap stopped the rank oracle before
+    either step decided, so it gave no evidence either way.
+
+    When a list is passed as ``evidence``, the check that decided is
+    appended to it: "extended graph", "constructed paths", "path
+    enumeration", or None alongside a None verdict."""
     monitors = trace.monitors
     if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
-        return False
-    try:
-        return _achieves_full_identifiability(g, monitors, cap)
-    except PathExplosionError:
-        return None
+        # the two added nodes of the extended graph have fewer than three
+        # neighbours
+        verdict, kind = False, EXTENDED_GRAPH
+    else:
+        try:
+            verdict, kind = _achieves_full_identifiability(g, monitors, cap)
+        except PathExplosionError:
+            verdict, kind = None, None
+    if evidence is not None:
+        evidence.append(kind)
+    return verdict
 
 
-def _achieves_full_identifiability(g: Graph, candidate: tuple[int, ...], cap: int) -> bool:
-    if len(candidate) < 2:
-        return False
-    if len(candidate) == 2:
-        return _fully_identifiable(g, candidate, cap)
-    ext = extend(g, candidate)
-    if not is_k_vertex_connected(ext.graph, 3):
-        return False
-    return _fully_identifiable(g, candidate, cap)
+def _achieves_full_identifiability(g: Graph, candidate: MonitorSet, cap: int) -> tuple[bool, str]:
+    """The verdict for a candidate monitor set, and the check that gave it."""
+    if len(candidate) > 2:
+        if not is_k_vertex_connected(extend(g, candidate).graph, 3):
+            return False, EXTENDED_GRAPH
+        proved, used = certify_full_rank(g, candidate, cap)
+        if proved:
+            return True, CONSTRUCTED_PATHS
+        if used == cap:
+            raise PathExplosionError(cap)
+        cap -= used
+    return _fully_identifiable(g, candidate, cap), PATH_ENUMERATION
 
 
 def minimality_probe(
@@ -218,7 +248,7 @@ def minimality_probe(
         if examined > budget:
             raise InconclusiveError(f"probe budget {budget} exhausted")
         try:
-            if _achieves_full_identifiability(g, candidate, cap):
+            if _achieves_full_identifiability(g, candidate, cap)[0]:
                 return False
         except PathExplosionError:
             raise InconclusiveError("path cap hit while probing a candidate set") from None

@@ -17,6 +17,8 @@ from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.graph import parse_graph, serialize
 
+from .conftest import STALL_EDGES
+
 
 @pytest.fixture
 def k4_file(tmp_path):
@@ -120,6 +122,22 @@ class TestPlace:
         code, report = run(capsys, ["place", k4_file])
         assert code == 0
         assert report["verified"] is None
+
+    def test_evidence_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
+        _, report = run(capsys, ["place", k4_file])
+        assert report["evidence"] == "constructed paths"
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
+        _, report = run(capsys, ["place", k4_file])
+        assert report["evidence"] is None
+
+    def test_stalled_input_verified_by_constructed_paths(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "stall.txt"
+        p.write_text("".join(f"{u} {v}\n" for u, v in STALL_EDGES))
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "2000")
+        code, report = run(capsys, ["place", str(p)])
+        assert code == 0
+        assert report["verified"] is True
+        assert report["evidence"] == "constructed paths"
 
     def test_decomposition_matches_fresh_decomposition(self, capsys, tmp_path):
         for seed in range(4):
@@ -378,6 +396,7 @@ class TestGoldenReport:
             "monitors": [1, 2, 3, 4],
             "k_min": 4,
             "verified": True,
+            "evidence": "constructed paths",
             "tiebreak": {"policy": "lowest", "seed": None},
             "stage1_degree_monitors": [1, 2, 3, 4],
             "per_triconnected": [

@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkscope.connectivity import is_k_vertex_connected
 from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
 from linkscope.errors import (
     InconsistentMeasurementsError,
@@ -15,12 +16,16 @@ from linkscope.errors import (
     PathExplosionError,
 )
 from linkscope.graph import Graph
+from linkscope.placement import mmp
+from linkscope.tomography import extend
 from linkscope.identifiability import (
     MeasurementVector,
     MetricAssignment,
     adjacent_links,
     build_matrix,
+    certify_full_rank,
     check_lemma1,
+    constructed_paths,
     enumerate_monitor_paths,
     identifiable_links,
     _Reducer,
@@ -56,6 +61,47 @@ class TestPathEnumeration:
     def test_orientation_collapsed(self, k4):
         paths = enumerate_monitor_paths(k4, (2, 1))
         assert all(p[0] == 1 and p[-1] == 2 for p in paths)
+
+
+class TestConstructedPaths:
+    def test_k4_three_monitors(self, k4):
+        paths = list(constructed_paths(k4, (3, 1, 2)))
+        assert sorted(paths) == sorted(enumerate_monitor_paths(k4, (1, 2, 3)))
+        proved, rows = certify_full_rank(k4, (1, 2, 3))
+        assert proved and rows == 6
+
+    def test_shortfall_is_no_verdict(self, triangle):
+        # two monitors never identify the far link; the construction ends
+        assert certify_full_rank(triangle, (1, 2)) == (False, 2)
+
+    def test_rows_count_against_cap(self, k4):
+        with pytest.raises(PathExplosionError):
+            certify_full_rank(k4, (1, 2, 3), cap=5)
+        assert certify_full_rank(k4, (1, 2, 3), cap=6) == (True, 6)
+
+    def test_real_paths_sound_and_complete_on_small_graphs(self):
+        # every connected graph on 3-6 nodes, with the placement's monitors
+        # and a seeded monitor set of two, three or four nodes in turn
+        rng = random.Random(7)
+        proved = placements = 0
+        for n in range(3, 7):
+            for g in all_connected_graphs(n):
+                placement = mmp(g).monitors
+                seeded = tuple(rng.sample(g.sorted_nodes(), min(2 + placements % 3, n)))
+                for ms in (placement, seeded):
+                    paths = enumerate_monitor_paths(g, ms)
+                    built = list(constructed_paths(g, ms))
+                    assert len(set(built)) == len(built)
+                    assert set(built) <= set(paths), (sorted(g.edges), ms)
+                    if certify_full_rank(g, ms)[0]:
+                        proved += 1
+                        assert identifiable_links(build_matrix(g, paths)).fully_identifiable
+                    elif ms is placement:
+                        # complete where the sufficiency theorem applies
+                        assert not is_k_vertex_connected(extend(g, ms).graph, 3), sorted(g.edges)
+                placements += 1
+        assert placements == 27474
+        assert proved > placements
 
 
 class TestMatrix:

@@ -5,9 +5,10 @@ import pytest
 from linkscope.corpus import all_connected_graphs, random_connected_graph
 from linkscope.errors import InconclusiveError, TooSmallError
 from linkscope.graph import Graph
+from linkscope import placement
 from linkscope.placement import LOWEST, PlacementTrace, TieBreak, minimality_probe, mmp, verify_placement
 
-from .conftest import c_n, path_n
+from .conftest import STALL_EDGES, c_n, path_n
 
 
 class TestMmpTraces:
@@ -105,6 +106,32 @@ class TestVerification:
         for seed in range(12):
             g = random_connected_graph(6 + seed % 4, 0.45, 900 + seed)
             assert verify_placement(g, mmp(g))
+
+    def test_evidence_names_the_deciding_check(self, k4):
+        trace = mmp(k4)
+        evidence = []
+        assert verify_placement(k4, trace, evidence=evidence) is True
+        assert verify_placement(k4, trace._replace(monitors=(1, 2)), evidence=evidence) is False
+        assert verify_placement(k4, trace, cap=1, evidence=evidence) is None
+        assert evidence == ["constructed paths", "extended graph", None]
+
+    def test_enumeration_decides_when_constructed_paths_fall_short(self, k4, monkeypatch):
+        # K4 with monitors 1, 2, 3 has six measurement paths; three rows fed
+        # to a certificate that fell short leave cap - 3 for the enumeration
+        monkeypatch.setattr(placement, "certify_full_rank", lambda g, ms, cap: (False, 3))
+        evidence = []
+        assert verify_placement(k4, mmp(k4), cap=9, evidence=evidence) is True
+        assert verify_placement(k4, mmp(k4), cap=8, evidence=evidence) is None
+        assert verify_placement(k4, mmp(k4), cap=3, evidence=evidence) is None
+        assert evidence == ["path enumeration", None, None]
+
+    def test_stalled_input_needs_no_enumeration(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise AssertionError("fell back to path enumeration")
+
+        monkeypatch.setattr(placement, "enumerate_monitor_paths", stall)
+        g = Graph(range(1, 33), STALL_EDGES)
+        assert verify_placement(g, mmp(g), cap=2000) is True
 
 
 class TestMinimality:
