@@ -229,7 +229,7 @@ def _cmd_identify(args) -> int:
         matrix, vector = simulate(g, monitors, assignment, cap)
         values = vector.values
         # str() refuses integers longer than the interpreter's digit limit;
-        # check before the reductions (0, also on interpreters without a
+        # check before the reduction (0, also on interpreters without a
         # limit, means unlimited)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
@@ -240,12 +240,12 @@ def _cmd_identify(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_CAP
-        recovered = recover(matrix, vector)
+        verdict, recovered = recover(matrix, vector)
         report["measurements"] = [str(x) for x in values]
         report["recovered"] = {_edge_str(e): str(x) for e, x in sorted(recovered.items())}
     else:
         matrix = build_matrix(g, enumerate_monitor_paths(g, monitors, cap))
-    verdict = identifiable_links(matrix)
+        verdict = identifiable_links(matrix)
     report.update(
         {
             "paths": len(matrix.paths),
@@ -274,31 +274,12 @@ def _cmd_witness(args) -> int:
         report = {"kind": args.kind, "found": cycle is not None}
         if cycle is not None:
             report["cycle"] = list(cycle)
-    elif args.kind == "lemma3":
-        w3 = find_lemma3_witness(g, link, monitors)
-        report = {"kind": args.kind, "found": w3 is not None}
-        if w3 is not None:
-            report.update(
-                {
-                    "link": _edge_str(w3.link),
-                    "cycle_f": list(w3.cycle_f),
-                    "cycle_c": list(w3.cycle_c),
-                    "path_1": list(w3.path_1),
-                    "path_2": list(w3.path_2),
-                }
-            )
     else:
-        w4 = find_lemma4_witness(g, link, monitors)
-        report = {"kind": args.kind, "found": w4 is not None}
-        if w4 is not None:
-            report.update(
-                {
-                    "link": _edge_str(w4.link),
-                    "cycle": list(w4.cycle),
-                    "path_to_v": list(w4.path_to_v),
-                    "path_to_w": list(w4.path_to_w),
-                }
-            )
+        find = find_lemma3_witness if args.kind == "lemma3" else find_lemma4_witness
+        w = find(g, link, monitors)
+        report = {"kind": args.kind, "found": w is not None}
+        if w is not None:
+            report.update({k: _edge_str(v) if k == "link" else list(v) for k, v in vars(w).items()})
     _emit(report)
     return EXIT_OK
 

@@ -254,10 +254,6 @@ def cycle_edges(cycle: Cycle) -> list[Edge]:
     return [edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
 
 
-def path_edges(path: Path) -> list[Edge]:
-    return [edge(a, b) for a, b in zip(path, path[1:])]
-
-
 def canonical_cycle(cycle: Cycle) -> Cycle:
     """Least tuple over all rotations and both directions; identity for sets.
 

@@ -16,8 +16,11 @@ a path becomes the integer row (incidence row, then L times its value) and
 the reducer never leaves the integers.  Pivots stay in the link columns; a
 row whose link part cancels while its value does not is a contradiction,
 and each unit basis row (0, .., d, .., 0 | n) reads off its link's value
-n / (d L).  Simulation likewise sums weights scaled to their common
-denominator, one integer sum per path.
+n / (d L).  Because the value column never holds a pivot, the same pass
+also gives the verdict: its rank and unit rows are those of the incidence
+rows alone.  Every report, with or without values, is read off a reduced
+basis by one function.  Simulation likewise sums weights scaled to their
+common denominator, one integer sum per path.
 
 With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 from math import lcm
 from typing import Container, Iterator, NamedTuple
 
@@ -210,11 +213,9 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
         raise DisconnectedError("graph must be connected")
     if cap < 1:
         raise ValueError("cap must be positive")
-    others = frozenset(ms) if len(ms) > 2 else frozenset()
     out: list[Path] = []
-    pairs = sorted({tuple(sorted((a, b))) for a in ms for b in ms if a != b})
-    for a, b in pairs:
-        forbidden = others - {a, b}
+    for a, b in combinations(sorted(ms), 2):
+        forbidden = frozenset(ms) - {a, b}
         found = []
         for p in iter_simple_paths(g, a, b, forbidden_internal=forbidden):
             found.append(p)
@@ -262,6 +263,15 @@ def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
     return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, rows)
 
 
+def _report(red: _Reducer, cols: tuple[Edge, ...]) -> IdentifiabilityReport:
+    """The verdict read off a reduced basis over the link columns ``cols``."""
+    if red.rank == len(cols):
+        return IdentifiabilityReport(red.rank, frozenset(cols), frozenset(), True)
+    good = frozenset(cols[c] for c, _ in red.unit_rows())
+    bad = frozenset(cols) - good
+    return IdentifiabilityReport(red.rank, good, bad, not bad)
+
+
 def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
     """Rank over the rationals plus the set of edges whose unit vector lies
     in the row space."""
@@ -271,12 +281,7 @@ def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
         red.add(row)
         if red.rank == ncols:
             break
-    if red.rank == ncols:
-        all_edges = frozenset(matrix.edge_index)
-        return IdentifiabilityReport(ncols, all_edges, frozenset(), True)
-    good = frozenset(matrix.edge_index[c] for c, _ in red.unit_rows())
-    bad = frozenset(matrix.edge_index) - good
-    return IdentifiabilityReport(red.rank, good, bad, not bad)
+    return _report(red, matrix.edge_index)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,9 @@ def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CA
     identifiable, and the proof is in integer arithmetic.  Returns (False,
     rows fed) when the construction ends first, which is no evidence either
     way.  Rows count against the cap: PathExplosionError when one more row
-    than ``cap`` would be needed."""
+    than ``cap`` would be needed, ValueError when ``cap`` is not positive."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
     cols = tuple(g.sorted_edges())
     index = _column_index(cols)
     red = _Reducer(len(cols))
@@ -422,8 +429,12 @@ def simulate(
     return matrix, MeasurementVector(values)
 
 
-def recover(matrix: MeasurementMatrix, vector: MeasurementVector) -> dict[Edge, Fraction]:
-    """Solve for every identifiable edge; exact values, no tolerance.
+def recover(
+    matrix: MeasurementMatrix, vector: MeasurementVector
+) -> tuple[IdentifiabilityReport, dict[Edge, Fraction]]:
+    """The verdict and the exact value of every identifiable edge, both
+    from one reduction; no tolerance.  The verdict equals
+    ``identifiable_links(matrix)``.
 
     Raises when the vector contradicts the row space (no generating
     assignment exists).
@@ -436,10 +447,11 @@ def recover(matrix: MeasurementMatrix, vector: MeasurementVector) -> dict[Edge, 
     red = _Reducer(len(matrix.edge_index))
     for row, value in zip(matrix.rows, values):
         red.add([*row, value.numerator * (scale // value.denominator)])
-    return {
+    recovered = {
         matrix.edge_index[pcol]: Fraction(row[-1], row[pcol] * scale)
         for pcol, row in red.unit_rows()
     }
+    return _report(red, matrix.edge_index), recovered
 
 
 # ---------------------------------------------------------------------------

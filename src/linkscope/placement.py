@@ -176,11 +176,6 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
     )
 
 
-def _fully_identifiable(g: Graph, monitors: MonitorSet, cap: int) -> bool:
-    paths = enumerate_monitor_paths(g, monitors, cap)
-    return identifiable_links(build_matrix(g, paths)).fully_identifiable
-
-
 def verify_placement(
     g: Graph,
     trace: PlacementTrace,
@@ -227,7 +222,8 @@ def _achieves_full_identifiability(g: Graph, candidate: MonitorSet, cap: int) ->
         if used == cap:
             raise PathExplosionError(cap)
         cap -= used
-    return _fully_identifiable(g, candidate, cap), PATH_ENUMERATION
+    matrix = build_matrix(g, enumerate_monitor_paths(g, candidate, cap))
+    return identifiable_links(matrix).fully_identifiable, PATH_ENUMERATION
 
 
 def minimality_probe(

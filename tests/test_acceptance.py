@@ -387,8 +387,8 @@ class TestAcceptance:
                 matrix, vector = simulate(g, monitors, weights, cap=SCAN_CAP)
             except PathExplosionError:
                 continue
-            recovered = recover(matrix, vector)
-            report = identifiable_links(matrix)
+            report, recovered = recover(matrix, vector)
+            assert report == identifiable_links(matrix)
             assert set(recovered) == set(report.identifiable)
             for e, value in recovered.items():
                 assert value == weights.weights[e], (sorted(g.edges), monitors, e)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linkscope
+from linkscope import identifiability
 from linkscope.cli import main
 from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
@@ -130,6 +131,12 @@ class TestPlace:
         _, report = run(capsys, ["place", k4_file])
         assert report["evidence"] is None
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_cap_rejected(self, capsys, k4_file, monkeypatch, cap):
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", cap)
+        assert main(["place", k4_file]) == 3
+        assert "cap must be positive" in capsys.readouterr().err
+
     def test_stalled_input_verified_by_constructed_paths(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "stall.txt"
         p.write_text("".join(f"{u} {v}\n" for u, v in STALL_EDGES))
@@ -193,6 +200,38 @@ class TestIdentify:
         assert code == 0
         assert report["measurements"] == ["3/2", "7/3"]
         assert report["recovered"] == {"1-2": "3/2"}
+
+    def test_weights_give_the_same_verdict(self, capsys, tmp_path):
+        keys = ("paths", "rank", "identifiable", "unidentifiable", "fully_identifiable")
+        full = set()
+        for seed in range(6):
+            g = random_connected_graph(8, 0.45, 700 + seed)
+            p, w = tmp_path / f"g{seed}.txt", tmp_path / f"w{seed}.txt"
+            p.write_text(serialize(g))
+            w.write_text("".join(f"{u} {v} {(u * v) % 7 + 1}/{u % 3 + 1}\n" for u, v in sorted(g.edges)))
+            monitors = ",".join(str(m) for m in sorted(g.nodes)[: 2 + seed % 3])
+            _, plain = run(capsys, ["identify", str(p), "--monitors", monitors])
+            code, weighted = run(capsys, ["identify", str(p), "--monitors", monitors, "--weights", str(w)])
+            assert code == 0
+            assert {k: weighted[k] for k in keys} == {k: plain[k] for k in keys}
+            full.add(plain["fully_identifiable"])
+        assert full == {True, False}
+
+    def test_weights_reduce_once(self, capsys, tri_file, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(identifiability._Reducer):
+            def __init__(self, ncols):
+                built.append(ncols)
+                super().__init__(ncols)
+
+        monkeypatch.setattr(identifiability, "_Reducer", Counting)
+        w = tmp_path / "w.txt"
+        w.write_text("1 2 1\n1 3 2\n2 3 3\n")
+        code, report = run(capsys, ["identify", tri_file, "--monitors", "1,2", "--weights", str(w)])
+        assert code == 0
+        assert report["rank"] == 2
+        assert built == [3]
 
     def test_cap_exceeded(self, capsys, tri_file):
         assert main(["identify", tri_file, "--monitors", "1,2", "--cap", "1"]) == 4
@@ -351,11 +390,15 @@ class TestWitness:
             capsys, ["witness", k4_file, "--monitors", "1,2", "--link", "3-4", "--kind", "lemma3"]
         )
         assert code == 0
-        assert report["found"] is True
-        assert report["cycle_f"] == [1, 3, 4]
-        assert report["cycle_c"] == [2, 3, 4]
-        assert report["path_1"] == [1]
-        assert report["path_2"] == [2]
+        assert report == {
+            "kind": "lemma3",
+            "found": True,
+            "link": "3-4",
+            "cycle_f": [1, 3, 4],
+            "cycle_c": [2, 3, 4],
+            "path_1": [1],
+            "path_2": [2],
+        }
 
     def test_nonsep_not_found(self, capsys, tri_file):
         code, report = run(
@@ -372,9 +415,14 @@ class TestWitness:
             capsys, ["witness", str(p), "--monitors", "4,5", "--link", "2-3", "--kind", "lemma4"]
         )
         assert code == 0
-        assert report["kind"] == "lemma4"
-        assert report["found"] is True
-        assert report["cycle"] == [1, 2, 3]
+        assert report == {
+            "kind": "lemma4",
+            "found": True,
+            "link": "2-3",
+            "cycle": [1, 2, 3],
+            "path_to_v": [5, 2],
+            "path_to_w": [4, 3],
+        }
 
     def test_too_large(self, capsys, tmp_path):
         p = tmp_path / "big.txt"

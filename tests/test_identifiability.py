@@ -79,6 +79,11 @@ class TestConstructedPaths:
             certify_full_rank(k4, (1, 2, 3), cap=5)
         assert certify_full_rank(k4, (1, 2, 3), cap=6) == (True, 6)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_cap_rejected(self, k4, cap):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            certify_full_rank(k4, (1, 2, 3), cap)
+
     def test_real_paths_sound_and_complete_on_small_graphs(self):
         # every connected graph on 3-6 nodes, with the placement's monitors
         # and a seeded monitor set of two, three or four nodes in turn
@@ -186,13 +191,13 @@ class TestSimulateRecover:
         w = MetricAssignment.for_graph(triangle, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
         matrix, vector = simulate(triangle, (1, 2), w)
         assert vector.values == (Fraction(1), Fraction(5))
-        assert recover(matrix, vector) == {(1, 2): Fraction(1)}
+        assert recover(matrix, vector)[1] == {(1, 2): Fraction(1)}
 
     def test_k4_all_ones(self, k4):
         w = MetricAssignment.for_graph(k4, {e: 1 for e in k4.edges})
         matrix, vector = simulate(k4, (1, 2), w)
         assert vector.values == (Fraction(1), Fraction(2), Fraction(2), Fraction(3), Fraction(3))
-        assert recover(matrix, vector) == {(1, 2): Fraction(1), (3, 4): Fraction(1)}
+        assert recover(matrix, vector)[1] == {(1, 2): Fraction(1), (3, 4): Fraction(1)}
 
     def test_nonpositive_weight_rejected(self, triangle):
         with pytest.raises(ValueError):
@@ -224,8 +229,9 @@ class TestSimulateRecover:
                 g, {e: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for e in g.edges}
             )
             matrix, vector = simulate(g, monitors, w)
-            got = recover(matrix, vector)
+            verdict, got = recover(matrix, vector)
             report = identifiable_links(matrix)
+            assert verdict == report
             assert set(got) == set(report.identifiable)
             for e, value in got.items():
                 assert value == w.weights[e]
@@ -305,24 +311,46 @@ class TestReducer:
         scale = lcm(*(v.denominator for v in sums))
         return [[*row, int(v * scale)] for row, v in zip(matrix.rows, sums)]
 
+    @staticmethod
+    def _recover_verdict(matrix, valued) -> bool:
+        """recover's verdict on the scaled path sums equals the incidence
+        rows' own; returns whether the rank is full."""
+        report = identifiable_links(matrix)
+        vector = MeasurementVector(tuple(Fraction(r[-1]) for r in valued))
+        assert recover(matrix, vector)[0] == report
+        return report.fully_identifiable
+
     def test_basis_is_d_times_rref_on_small_instances(self):
         rng = random.Random(5)
         count = 0
+        full = set()
         for g, pair in _small_two_monitor_instances():
             m = build_matrix(g, enumerate_monitor_paths(g, pair))
             ncols = len(m.edge_index)
             rank = self._check([list(r) for r in m.rows], ncols)
-            assert self._check(self._with_values(m, rng), ncols) == rank
+            valued = self._with_values(m, rng)
+            assert self._check(valued, ncols) == rank
+            full.add(self._recover_verdict(m, valued))
             count += 1
         assert count == 38 * 6 + 728 * 10
+        # two monitors never identify every link once there are two or more;
+        # the identify-sized set below holds the full-rank instances
+        assert full == {False}
 
     def test_basis_is_d_times_rref_on_identify_sized_instances(self):
+        # each graph with its seeded monitors, then with its placement's
+        # monitors, which identify every link
         rng = random.Random(6)
-        for g, monitors in _identify_sized_instances():
-            m = build_matrix(g, enumerate_monitor_paths(g, monitors))
-            ncols = len(m.edge_index)
-            rank = self._check([list(r) for r in m.rows], ncols)
-            assert self._check(self._with_values(m, rng), ncols) == rank
+        full = []
+        for g, seeded in _identify_sized_instances():
+            for monitors in (seeded, mmp(g).monitors):
+                m = build_matrix(g, enumerate_monitor_paths(g, monitors))
+                ncols = len(m.edge_index)
+                rank = self._check([list(r) for r in m.rows], ncols)
+                valued = self._with_values(m, rng)
+                assert self._check(valued, ncols) == rank
+                full.append(self._recover_verdict(m, valued))
+        assert full == [False, True] * 30
 
 
 class TestSimulateOracle:
