@@ -4,28 +4,8 @@ The package decides which link metrics of an undirected network can be
 recovered from sums along simple paths between monitor nodes, provides
 executable checks for the structural conditions behind those verdicts, and
 computes a minimum monitor placement that makes every metric identifiable.
+Importing the package loads none of its modules, so a command-line run loads
+only what its command uses: import the module you need.
 """
-
-from . import (
-    connectivity,
-    corpus,
-    decomposition,
-    graph,
-    identifiability,
-    placement,
-    tomography,
-    witness,
-)
-
-__all__ = [
-    "connectivity",
-    "corpus",
-    "decomposition",
-    "graph",
-    "identifiability",
-    "placement",
-    "tomography",
-    "witness",
-]
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import corpus as corpus_mod
 from .connectivity import bridges, cut_vertices, vertex_connectivity
 from .errors import (
     DuplicateEdgeError,
@@ -45,7 +44,6 @@ from .tomography import (
     prop6_both_sides,
     validate_monitors,
 )
-from .witness import find_lemma3_witness, find_lemma4_witness, find_nonseparating_cycle
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -266,6 +264,8 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .witness import find_lemma3_witness, find_lemma4_witness, find_nonseparating_cycle
+
     g = _load_graph(args.graph)
     monitors = validate_monitors(g, _parse_monitors(args.monitors), minimum=2)
     link = _parse_link(args.link)
@@ -285,7 +285,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_corpus_dump(args) -> int:
-    fixtures = corpus_mod.named_fixtures()
+    from .corpus import named_fixtures
+
+    fixtures = named_fixtures()
     if args.name not in fixtures:
         raise NotFoundError(f"unknown fixture {args.name!r}; have {sorted(fixtures)}")
     g, monitors = fixtures[args.name]

@@ -59,9 +59,6 @@ class TriconnectedComponent(NamedTuple):
     def s_t(self) -> int:
         return len(self.separation_vertices)
 
-    def all_edges(self) -> frozenset[Edge]:
-        return self.real_edges | self.virtual_edges
-
 
 def biconnected_components(g: Graph) -> list[BiconnectedComponent]:
     """Standard block decomposition; blocks sorted by smallest contained node.

@@ -106,6 +106,28 @@ def _chooser(tiebreak: TieBreak):
     return lambda eligible, k: sorted(rng.sample(sorted(eligible), k))
 
 
+def _top_up(
+    kind: str, nodes: frozenset[int], anchors: frozenset[int], monitors: set[int], choose
+) -> tuple[int, tuple[int, ...]]:
+    """One stage-2 or stage-3 top-up: the monitors already among the nodes,
+    and the nodes added to ``monitors`` so that a piece with one or two
+    anchors (separation or cut vertices) has three anchors plus monitors.
+    Added nodes are neither anchors nor monitors."""
+    m = len(monitors & nodes)
+    s = len(anchors)
+    if not 0 < s < 3 or s + m >= 3:
+        return m, ()
+    need = 3 - s - m
+    eligible = nodes - anchors - monitors
+    if len(eligible) < need:
+        raise InfeasibleStageError(
+            f"{kind} {sorted(nodes)} needs {need} monitors, only {len(eligible)} eligible nodes"
+        )
+    added = tuple(choose(eligible, need))
+    monitors.update(added)
+    return m, added
+
+
 def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
     """Compute the monitor placement; see the module docstring for stages."""
     if g.node_count < 3:
@@ -128,34 +150,10 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
         for ti, comp in enumerate(comps):
             if len(comp.nodes) < 3:
                 continue
-            s_t = comp.s_t
-            m_t = len(monitors & comp.nodes)
-            added: tuple[int, ...] = ()
-            if 0 < s_t < 3 and s_t + m_t < 3:
-                need = 3 - s_t - m_t
-                eligible = comp.nodes - comp.separation_vertices - monitors
-                if len(eligible) < need:
-                    raise InfeasibleStageError(
-                        f"component {sorted(comp.nodes)} needs {need} monitors, "
-                        f"only {len(eligible)} eligible nodes"
-                    )
-                added = tuple(choose(eligible, need))
-                monitors.update(added)
-            tri_records.append(TriStageRecord(bi, ti, comp.nodes, s_t, m_t, added))
-        c_b = block.c_b
-        m_b = len(monitors & block.nodes)
-        added = ()
-        if 0 < c_b < 3 and c_b + m_b < 3:
-            need = 3 - c_b - m_b
-            eligible = block.nodes - block.cut_vertices - monitors
-            if len(eligible) < need:
-                raise InfeasibleStageError(
-                    f"block {sorted(block.nodes)} needs {need} monitors, "
-                    f"only {len(eligible)} eligible nodes"
-                )
-            added = tuple(choose(eligible, need))
-            monitors.update(added)
-        bi_records.append(BiStageRecord(bi, block.nodes, c_b, m_b, added))
+            m_t, added = _top_up("component", comp.nodes, comp.separation_vertices, monitors, choose)
+            tri_records.append(TriStageRecord(bi, ti, comp.nodes, comp.s_t, m_t, added))
+        m_b, added = _top_up("block", block.nodes, block.cut_vertices, monitors, choose)
+        bi_records.append(BiStageRecord(bi, block.nodes, block.c_b, m_b, added))
 
     topup: frozenset[int] = frozenset()
     if len(monitors) < 3:

@@ -17,10 +17,14 @@ target with the other targets blocked.
 Arguments are validated once, at the public entry points.  The cycles a
 search takes from cycles_through_edge are valid by construction, so they go
 to the private checks without being validated again, and each search builds
-that list once per link.
+that list once per link.  find_lemma3_witness and is_case_b_link read one
+walk over the Lemma 3 structures, _structures: the first builds the second
+attachment path, the second only asks whether it exists.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .errors import NotFoundError, NotInteriorError, TooLargeError
 from .graph import (
@@ -237,88 +241,77 @@ class Lemma4Witness(_Witness):
             raise ValueError("paths must meet the cycle only at their endpoint")
 
 
-def _first_attachments(
-    g: Graph, fset: set[int], link: Edge, monitors: tuple[int, int]
-) -> list[tuple[int, int, list[Path]]]:
-    """(ma, mb, attachment paths from ma to the first cycle off the link
-    ends) for both monitor orders: they depend on the first cycle only, so
-    the searches compute them once per first cycle, not once per second."""
-    m1, m2 = monitors
-    inner = fset - set(link)
-    return [(ma, mb, _attachment_paths(g, ma, inner, fset)) for ma, mb in ((m1, m2), (m2, m1))]
+def _structures(
+    g: Graph, link: Edge, pair: tuple[int, int], disjoint: bool
+) -> Iterator[tuple[Cycle, Cycle, Path, int, set[int], set[int]]]:
+    """The Lemma 3 structures through the link up to the second path:
+    (cyc_f, cyc_c, p1, mb, targets, blocked), in search order.
 
-
-def find_lemma3_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma3Witness | None:
-    _guard(g)
-    m1, m2 = validate_monitor_pair(g, monitors)
-    link = _require_interior_link(g, vw, (m1, m2))
+    ``cyc_f`` is a non-separating cycle through the link, ``cyc_c`` a cycle
+    through the link sharing at most one node with it besides the link ends,
+    and ``p1`` an attachment path from one monitor to ``cyc_f`` off the link
+    ends.  The structure is complete when the other monitor ``mb`` has an
+    attachment path to ``targets`` avoiding ``blocked``: to ``cyc_c`` off the
+    link ends and clear of ``p1``.  With ``disjoint``, ``cyc_c`` meets
+    ``cyc_f`` only at the link ends and ``p1`` runs clear of ``cyc_c``.  The
+    path's own monitor endpoint is exempt: a monitor sitting on the second
+    cycle is the terminus of every measurement walk through it, so it cannot
+    cause a self-intersection."""
     v, w = link
+    m1, m2 = pair
     candidates = cycles_through_edge(g, link)
     for cyc_f in candidates:
-        if not _nonseparating(g, cyc_f, (m1, m2)):
+        if not _nonseparating(g, cyc_f, pair):
             continue
         fset = set(cyc_f)
+        # the paths to cyc_f depend on it alone: built once, when first needed
         firsts = None
         for cyc_c in candidates:
             cset = set(cyc_c)
-            if len(fset & cset) > 3:
+            if (fset & cset != {v, w}) if disjoint else (len(fset & cset) > 3):
                 continue
             if firsts is None:
-                firsts = _first_attachments(g, fset, link, (m1, m2))
+                inner = fset - {v, w}
+                firsts = [
+                    (ma, mb, _attachment_paths(g, ma, inner, fset)) for ma, mb in ((m1, m2), (m2, m1))
+                ]
             for ma, mb, p1s in firsts:
                 for p1 in p1s:
                     p1set = set(p1)
-                    p2s = _attachment_paths(g, mb, cset - {v, w} - p1set, cset | p1set)
-                    if p2s:
-                        witness = Lemma3Witness(link, cyc_f, cyc_c, p1, p2s[0])
-                        witness.validate(g, (m1, m2))
-                        return witness
+                    if disjoint and (p1set - {ma}) & cset:
+                        continue
+                    yield cyc_f, cyc_c, p1, mb, cset - {v, w} - p1set, cset | p1set
+
+
+def find_lemma3_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma3Witness | None:
+    """First Lemma 3 structure through the link whose second path exists,
+    with the first such path; None when the search is exhausted."""
+    _guard(g)
+    pair = validate_monitor_pair(g, monitors)
+    link = _require_interior_link(g, vw, pair)
+    for cyc_f, cyc_c, p1, mb, targets, blocked in _structures(g, link, pair, disjoint=False):
+        p2s = _attachment_paths(g, mb, targets, blocked)
+        if p2s:
+            witness = Lemma3Witness(link, cyc_f, cyc_c, p1, p2s[0])
+            witness.validate(g, pair)
+            return witness
     return None
-
-
-def _has_disjoint_structure(
-    g: Graph, cyc_f: Cycle, link: Edge, monitors: tuple[int, int], candidates: list[Cycle]
-) -> bool:
-    """Is there a second cycle among the candidates through the link meeting
-    cyc_f only at the link ends, with disjoint attachment paths whose
-    cyc_f-side path runs clear of the second cycle?  The path's own monitor
-    endpoint is exempt: a monitor sitting on the second cycle is the
-    terminus of every measurement walk through it, so it cannot cause a
-    self-intersection."""
-    v, w = link
-    fset = set(cyc_f)
-    firsts = None
-    for cyc_c in candidates:
-        cset = set(cyc_c)
-        if fset & cset != {v, w}:
-            continue
-        if firsts is None:
-            firsts = _first_attachments(g, fset, link, monitors)
-        for ma, mb, p1s in firsts:
-            for p1 in p1s:
-                p1set = set(p1)
-                if (p1set - {ma}) & cset:
-                    continue
-                if _attachment_exists(g, mb, cset - {v, w} - p1set, cset | p1set):
-                    return True
-    return False
 
 
 def is_case_b_link(g: Graph, vw: Edge, monitors: MonitorSet) -> bool:
     """Classify an interior link by exhaustion over every choice of cycles
     and attachment paths: the link is the easy case when SOME non-separating
     cycle through it admits the fully disjoint structure, and the hard case
-    (here: "case B") when none does."""
+    (here: "case B") when none does.  The walk is find_lemma3_witness's,
+    with the disjointness filters on, and it only asks whether each second
+    path exists."""
     _guard(g)
     pair = validate_monitor_pair(g, monitors)
     link = _require_interior_link(g, vw, pair)
-    candidates = cycles_through_edge(g, link)
-    for cyc_f in candidates:
-        if not _nonseparating(g, cyc_f, pair):
-            continue
-        if _has_disjoint_structure(g, cyc_f, link, pair, candidates):
-            return False
-    return True
+    return not any(
+        _attachment_exists(g, mb, targets, blocked)
+        for _, _, _, mb, targets, blocked in _structures(g, link, pair, disjoint=True)
+    )
 
 
 def find_lemma4_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma4Witness | None:

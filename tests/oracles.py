@@ -78,6 +78,75 @@ def reference_all_cycles(g: Graph) -> list[tuple]:
     return sorted(out, key=lambda c: (len(c), c))
 
 
+# ---------------------------------------------------------------------------
+# Lemma 3 structures, by trying every cycle pair and every pair of paths
+
+
+def _all_paths_from(g: Graph, start: int) -> list[tuple]:
+    """Every simple path starting at start, the one-node path included."""
+    out, stack = [], [(start,)]
+    while stack:
+        path = stack.pop()
+        out.append(path)
+        stack.extend(path + (x,) for x in g.adj[path[-1]] if x not in path)
+    return out
+
+
+def _brute_nonseparating(g: Graph, cycle: tuple, monitors) -> bool:
+    """No chord, and after deleting the cycle's nodes every remaining node
+    still reaches a monitor that was not on the cycle."""
+    on = set(cycle)
+    if sum(1 for u, x in g.edges if u in on and x in on) != len(cycle):
+        return False
+    rest = g
+    for u in cycle:
+        rest = remove_node(rest, u)
+    seen = {m for m in monitors if m not in on}
+    todo = list(seen)
+    while todo:
+        for x in rest.adj[todo.pop()]:
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return seen == set(rest.nodes)
+
+
+def brute_has_structure(g: Graph, link: tuple, monitors: tuple, disjoint: bool) -> bool:
+    """Is there a Lemma 3 structure through the link?  That is a
+    non-separating cycle F and a cycle C through the link sharing at most
+    three nodes, and for one order (a, b) of the monitors disjoint simple
+    paths P1 from a and P2 from b, both avoiding the link ends, with P1
+    meeting F only at its last node and P2 meeting C only at its last node.
+    With ``disjoint``, the fully disjoint structure: F and C share only the
+    link ends, and P1 meets C at most at a."""
+    v, w = link
+    through = [
+        c for c in reference_all_cycles(g)
+        if any(edge(c[i - 1], c[i]) == link for i in range(len(c)))
+    ]
+    paths = {
+        m: [p for p in _all_paths_from(g, m) if v not in p and w not in p] for m in monitors
+    }
+    m1, m2 = monitors
+    for cf in through:
+        if not _brute_nonseparating(g, cf, monitors):
+            continue
+        fset = set(cf)
+        for cc in through:
+            cset = set(cc)
+            if (fset & cset != {v, w}) if disjoint else (len(fset & cset) > 3):
+                continue
+            for a, b in ((m1, m2), (m2, m1)):
+                firsts = [
+                    set(p) for p in paths[a]
+                    if set(p) & fset == {p[-1]} and not (disjoint and (set(p) - {a}) & cset)
+                ]
+                seconds = [set(p) for p in paths[b] if set(p) & cset == {p[-1]}]
+                if any(not p1 & p2 for p1 in firsts for p2 in seconds):
+                    return True
+    return False
+
+
 def brute_is_k_edge_connected(g: Graph, k: int) -> bool:
     if not is_connected(g):
         return False

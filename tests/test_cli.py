@@ -502,6 +502,14 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_cli_import_skips_witness_and_corpus(self):
+        # only the witness and corpus commands use them; they import them
+        src = os.path.dirname(os.path.dirname(linkscope.__file__))
+        probe = "import sys, linkscope.cli; print(sorted({'linkscope.witness', 'linkscope.corpus'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestCorpusDump:
     def test_round_trips(self, capsys):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from linkscope.corpus import all_connected_graphs, named_fixtures
 from linkscope.errors import InvalidCycleError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
+from linkscope.tomography import condition_1, condition_2, interior_links
 from linkscope.witness import (
     Lemma3Witness,
     Lemma4Witness,
@@ -18,7 +21,7 @@ from linkscope.witness import (
 )
 
 from .conftest import c_n, k_n
-from .oracles import reference_all_cycles
+from .oracles import brute_has_structure, reference_all_cycles
 
 
 def case_b_instance():
@@ -26,6 +29,14 @@ def case_b_instance():
     through it and no second cycle can meet that one at the link ends alone."""
     g = Graph(edges=[(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4)])
     return g, (4, 5), (2, 3)
+
+
+def crossing_instance():
+    """A hard-case link on six nodes that is hard only because every first
+    attachment path crosses the second cycle: without that condition a fully
+    disjoint structure exists."""
+    g = Graph(edges=[(1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5)])
+    return g, (5, 6), (2, 3)
 
 
 class TestNonseparating:
@@ -127,6 +138,33 @@ class TestCaseClassification:
         g, monitors, link = case_b_instance()
         assert is_case_b_link(g, link, monitors)
         assert case_b_count(g, (1, 2, 3), monitors) == 1
+
+
+class TestAgainstBruteForce:
+    """Both readers of the Lemma 3 walk agree with a search that tries every
+    cycle pair and every pair of paths, on every two-monitor instance on four
+    and five nodes and on the two named hard-case links."""
+
+    def test_every_interior_link_of_the_small_instances(self):
+        links = [case_b_instance(), crossing_instance()]
+        for n in (4, 5):
+            for g in all_connected_graphs(n):
+                for pair in combinations(sorted(g.nodes), 2):
+                    links.extend((g, pair, vw) for vw in sorted(interior_links(g, pair)))
+        seen = set()
+        qualifying_links = 0
+        for g, pair, vw in links:
+            found = find_lemma3_witness(g, vw, pair) is not None
+            hard = is_case_b_link(g, vw, pair)
+            where = (sorted(g.edges), pair, vw)
+            assert found == brute_has_structure(g, vw, pair, disjoint=False), where
+            assert hard == (not brute_has_structure(g, vw, pair, disjoint=True)), where
+            seen.add((found, hard))
+            qualifying_links += condition_1(g, pair) and condition_2(g, pair)
+        # every verdict pair that can occur does; the qualifying links are the
+        # acceptance scan's on four and five nodes and the two named links
+        assert seen == {(False, True), (True, True), (True, False)}
+        assert qualifying_links == 1154
 
 
 class TestLemma4:
