@@ -8,7 +8,12 @@ with one edge skipped or one node deleted without building that graph.  The
 k-connectivity predicates are built on it: 2-vertex-connected means no cut
 vertex, 3-vertex-connected adds that no G - v has a cut vertex, and
 3-edge-connected means no G - e has a bridge.  Deletions of three or more
-nodes or edges, needed only for k >= 4, are enumerated directly.  An
+nodes or edges, needed only for k >= 4, are enumerated directly.
+
+Whitney's inequality, vertex connectivity <= edge connectivity <= minimum
+degree, gives both predicates an exact early exit before any DFS: a node of
+degree below k settles the answer as False (for vertex connectivity once the
+graph has more than k nodes, for edge connectivity once it has two).  An
 independent Menger-style oracle cross-checks the predicates in the test
 suite.
 """
@@ -131,6 +136,8 @@ def is_k_vertex_connected(g: Graph, k: int) -> bool:
         raise ValueError("k must be a positive integer")
     if g.node_count <= k:
         return False
+    if any(len(ns) < k for ns in g.adj.values()):
+        return False
     if not is_connected(g):
         return False
     if k >= 2 and _cut_vertices_any(g):
@@ -149,9 +156,12 @@ def is_k_vertex_connected(g: Graph, k: int) -> bool:
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
-    """Connected, and no deletion of fewer than k edges disconnects it."""
+    """Connected, and no deletion of fewer than k edges disconnects it.  A
+    single node is k-edge-connected for every k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if g.node_count >= 2 and any(len(ns) < k for ns in g.adj.values()):
+        return False
     if not is_connected(g):
         return False
     if k == 1:

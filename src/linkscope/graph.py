@@ -9,8 +9,12 @@ without aliasing worries.
 component sweeps and side-of-a-cut questions elsewhere all call it with the
 nodes they delete, rather than building the smaller graph.
 `iter_simple_paths` is the package's one simple-path walker: measurement
-paths, the cycles through an edge, every cycle of a graph and the witness
-attachment paths are all read off it.
+paths, the cycle table and the witness attachment paths are all read off it.
+
+A graph's cycle table lists every simple cycle once and files each cycle
+under each of its links.  It is walked at most once per graph, on first use,
+and kept in a slot of the graph that equality ignores, so the witness
+searches over a graph's links share one walk.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ class Graph:
 
     Equality and hashing are structural.  Adjacency is precomputed once at
     construction; neighbour iteration order is always explicitly sorted where
-    determinism matters.
+    determinism matters.  The `_cycles` slot stays empty until
+    `_cycle_table` fills it.
     """
 
-    __slots__ = ("nodes", "edges", "adj")
+    __slots__ = ("nodes", "edges", "adj", "_cycles")
 
     nodes: frozenset[int]
     edges: frozenset[Edge]
@@ -236,12 +241,21 @@ def is_simple_path(g: Graph, path: Path) -> bool:
 
 
 def is_cycle(g: Graph, cycle: Cycle) -> bool:
-    """At least 3 distinct nodes, cyclically adjacent (wrap-around included)."""
+    """At least 3 distinct nodes, cyclically adjacent (wrap-around included).
+
+    One pass: each node must be a graph node whose neighbours include the
+    node before it, starting from the last node.  A node outside the graph
+    is no node's neighbour."""
     if len(cycle) < 3 or len(set(cycle)) != len(cycle):
         return False
-    if any(v not in g.nodes for v in cycle):
-        return False
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
+    adj = g.adj
+    prev = cycle[-1]
+    for v in cycle:
+        ns = adj.get(v)
+        if ns is None or prev not in ns:
+            return False
+        prev = v
+    return True
 
 
 def validate_cycle(g: Graph, cycle: Cycle) -> Cycle:
@@ -252,16 +266,6 @@ def validate_cycle(g: Graph, cycle: Cycle) -> Cycle:
 
 def cycle_edges(cycle: Cycle) -> list[Edge]:
     return [edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-
-
-def canonical_cycle(cycle: Cycle) -> Cycle:
-    """Least tuple over all rotations and both directions; identity for sets.
-
-    The least rotation starts at the smallest node, so only the two
-    directions read from there are compared."""
-    i = cycle.index(min(cycle))
-    forward = cycle[i:] + cycle[:i]
-    return min(forward, forward[:1] + forward[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +322,40 @@ def iter_simple_paths(
         else:
             stack.pop()
             on_path.remove(path.pop())
+
+
+def _cycle_table(g: Graph) -> tuple[list[Cycle], dict[Edge, list[Cycle]]]:
+    """The graph's cycle table: every simple cycle, canonical (the least
+    tuple over its rotations in both directions), sorted by (length, tuple),
+    and a dict from each link to the cycles through it, in the same order.
+    Walked on the first call and kept in the graph's `_cycles` slot;
+    callers copy what they hand out.
+
+    A cycle is found once, from its smallest node a and the larger x of a's
+    two neighbours on it: as the a..x path through nodes above a whose
+    second node is the smaller neighbour.  That path is already canonical.
+    Its links are the pairs of nodes consecutive on it, the last node and
+    the first included."""
+    try:
+        return g._cycles
+    except AttributeError:
+        pass
+    cycles: list[Cycle] = []
+    below: set[int] = set()
+    for a in g.sorted_nodes():
+        for x in sorted(g.adj[a]):
+            if x > a:
+                cycles.extend(
+                    p for p in iter_simple_paths(g, a, x, below) if len(p) > 2 and p[1] < x
+                )
+        below.add(a)
+    cycles.sort(key=lambda c: (len(c), c))
+    by_link: dict[Edge, list[Cycle]] = {e: [] for e in g.edges}
+    for c in cycles:
+        u = c[-1]
+        for v in c:
+            by_link[(u, v) if u < v else (v, u)].append(c)
+            u = v
+    table = (cycles, by_link)
+    object.__setattr__(g, "_cycles", table)
+    return table

@@ -45,12 +45,10 @@ from itertools import combinations, count
 from math import lcm
 from typing import Container, Iterator, NamedTuple
 
-from .connectivity import bridges
 from .errors import (
     DisconnectedError,
     InconsistentMeasurementsError,
     InvalidPathError,
-    NotFoundError,
     PathExplosionError,
 )
 from .graph import (
@@ -60,9 +58,8 @@ from .graph import (
     edge,
     is_connected,
     iter_simple_paths,
-    reachable,
 )
-from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
+from .tomography import MonitorSet, validate_monitors
 
 DEFAULT_PATH_CAP = 100000
 
@@ -452,31 +449,3 @@ def recover(
         for pcol, row in red.unit_rows()
     }
     return _report(red, matrix.edge_index), recovered
-
-
-# ---------------------------------------------------------------------------
-# executable form of the bridge fact
-
-
-def adjacent_links(g: Graph, e: Edge) -> frozenset[Edge]:
-    e = edge(*e)
-    return frozenset(f for f in g.edges if f != e and (set(f) & set(e)))
-
-
-def check_lemma1(g: Graph, monitors: MonitorSet, bridge_link: Edge) -> bool:
-    """With one monitor on each side of a bridge, the bridge and every link
-    sharing an endpoint with it must come out unidentifiable."""
-    m1, m2 = validate_monitor_pair(g, monitors)
-    b = edge(*bridge_link)
-    if b not in g.edges:
-        raise NotFoundError(f"edge {b} not in graph")
-    if b not in bridges(g):
-        raise ValueError(f"edge {b} is not a bridge")
-    # b is a bridge, so b[0]'s side of it is what b[0] reaches without b[1]
-    side = reachable(g.adj, (b[0],), (b[1],))
-    if (m1 in side) == (m2 in side):
-        raise ValueError("monitors must lie on opposite sides of the bridge")
-    report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, monitors)))
-    targets = {b} | adjacent_links(g, b)
-    return targets <= report.unidentifiable
-

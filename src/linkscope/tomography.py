@@ -87,21 +87,35 @@ def condition_1(g: Graph, monitors: MonitorSet) -> bool:
     """Every interior link can be removed without creating a bridge.
 
     G - e is 2-edge-connected exactly when G is and G - e has no bridge: a
-    bridge of G stays a bridge of G - e, or is e and disconnects it."""
+    bridge of G stays a bridge of G - e, or is e and disconnects it.  An end
+    of e with degree 2 or less in G has degree 1 or less in G - e, which
+    has at least four nodes, so that settles it without a DFS."""
     monitors = validate_monitor_pair(g, monitors)
     links = sorted(interior_links(g, monitors))
     if not links:
         return True
+    adj = g.adj
+    if any(len(adj[v]) <= 2 or len(adj[w]) <= 2 for v, w in links):
+        return False
     return is_k_edge_connected(g, 2) and not any(_bridges_any(g, e) for e in links)
 
 
 def condition_2(g: Graph, monitors: MonitorSet) -> bool:
     """The graph plus the direct monitor-monitor edge is 3-vertex-connected.
 
-    Adding the edge is idempotent when it already exists.
+    Adding the edge is idempotent when it already exists.  A node of degree
+    below 3 in the joined graph settles the answer before that graph is
+    built; the monitors gain one from the edge when it is new.
     """
     m1, m2 = validate_monitor_pair(g, monitors)
-    h = g if g.has_edge(m1, m2) else add_edge(g, m1, m2)
+    joined = g.has_edge(m1, m2)
+    gain = 0 if joined else 1
+    adj = g.adj
+    if len(adj[m1]) + gain < 3 or len(adj[m2]) + gain < 3:
+        return False
+    if any(len(ns) < 3 for v, ns in adj.items() if v != m1 and v != m2):
+        return False
+    h = g if joined else add_edge(g, m1, m2)
     return is_k_vertex_connected(h, 3)
 
 

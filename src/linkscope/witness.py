@@ -10,16 +10,19 @@ cycle.  Searches are deterministic: cycles are enumerated in (length,
 canonical tuple) order and paths in (length, lexicographic) order, with
 first-hit return.  Graphs beyond 12 nodes are rejected up front.
 
-Every cycle and attachment path is read off graph.iter_simple_paths: a
-cycle is a path closed by one edge, an attachment path a path to one
-target with the other targets blocked.
+Every cycle comes from the graph's cycle table (graph._cycle_table): the
+cycles of a graph are walked once, on the first query, and each search over
+one of its links reads that link's entry.  all_cycles and
+cycles_through_edge hand out fresh copies of the table's lists.  Attachment
+paths are read off graph.iter_simple_paths: a path to one target with the
+other targets blocked.
 
 Arguments are validated once, at the public entry points.  The cycles a
 search takes from cycles_through_edge are valid by construction, so they go
-to the private checks without being validated again, and each search builds
-that list once per link.  find_lemma3_witness and is_case_b_link read one
-walk over the Lemma 3 structures, _structures: the first builds the second
-attachment path, the second only asks whether it exists.
+to the private checks without being validated again.  find_lemma3_witness
+and is_case_b_link read one walk over the Lemma 3 structures, _structures:
+the first builds the second attachment path, the second only asks whether
+it exists.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .graph import (
     Edge,
     Graph,
     Path,
-    canonical_cycle,
+    _cycle_table,
     cycle_edges,
     edge,
     is_simple_path,
@@ -64,29 +67,12 @@ def cycles_through_edge(g: Graph, vw: Edge) -> list[Cycle]:
     e = edge(*vw)
     if e not in g.edges:
         raise NotFoundError(f"edge {e} not in graph")
-    # a v..w path other than (v, w) itself never steps along the edge v-w
-    cycles = [canonical_cycle(p) for p in iter_simple_paths(g, *e) if len(p) > 2]
-    cycles.sort(key=lambda c: (len(c), c))
-    return cycles
+    return list(_cycle_table(g)[1][e])
 
 
 def all_cycles(g: Graph) -> list[Cycle]:
-    """Every simple cycle of the graph, canonical, sorted by (length, tuple).
-
-    A cycle is found once, from its smallest node a and the larger x of a's
-    two neighbours on it: as the a..x path through nodes above a whose
-    second node is the smaller neighbour.  That path is already canonical."""
-    out: list[Cycle] = []
-    below: set[int] = set()
-    for a in g.sorted_nodes():
-        for x in sorted(g.adj[a]):
-            if x > a:
-                out.extend(
-                    p for p in iter_simple_paths(g, a, x, below) if len(p) > 2 and p[1] < x
-                )
-        below.add(a)
-    out.sort(key=lambda c: (len(c), c))
-    return out
+    """Every simple cycle of the graph, canonical, sorted by (length, tuple)."""
+    return list(_cycle_table(g)[0])
 
 
 def is_nonseparating_cycle(g: Graph, cycle: Cycle, monitors: MonitorSet) -> bool:

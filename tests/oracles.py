@@ -12,7 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from linkscope.graph import Graph, edge, is_connected, remove_edge, remove_node
+from linkscope.errors import NotFoundError
+from linkscope.graph import (
+    Graph,
+    edge,
+    is_connected,
+    iter_simple_paths,
+    reachable,
+    remove_edge,
+    remove_node,
+)
+from linkscope.identifiability import build_matrix, enumerate_monitor_paths, identifiable_links
+from linkscope.tomography import validate_monitor_pair
 
 
 def brute_bridges(g: Graph) -> frozenset:
@@ -76,6 +87,15 @@ def reference_all_cycles(g: Graph) -> list[tuple]:
                 elif x > anchor and x not in path:
                     stack.append((x, path + (x,)))
     return sorted(out, key=lambda c: (len(c), c))
+
+
+def reference_cycles_through_edge(g: Graph, vw: tuple) -> list[tuple]:
+    """Every cycle through the edge, canonical, sorted by (length, tuple):
+    one simple-path walk per link, each v..w path other than the edge itself
+    closed by the edge."""
+    v, w = edge(*vw)
+    cycles = [reference_canonical_cycle(p) for p in iter_simple_paths(g, v, w) if len(p) > 2]
+    return sorted(cycles, key=lambda c: (len(c), c))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +165,33 @@ def brute_has_structure(g: Graph, link: tuple, monitors: tuple, disjoint: bool) 
                 if any(not p1 & p2 for p1 in firsts for p2 in seconds):
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Lemma 1: the bridge links, through the rank oracle
+
+
+def adjacent_links(g: Graph, e: tuple) -> frozenset:
+    e = edge(*e)
+    return frozenset(f for f in g.edges if f != e and (set(f) & set(e)))
+
+
+def check_lemma1(g: Graph, monitors: tuple, bridge_link: tuple) -> bool:
+    """With one monitor on each side of a bridge, the bridge and every link
+    sharing an endpoint with it must come out unidentifiable."""
+    m1, m2 = validate_monitor_pair(g, monitors)
+    b = edge(*bridge_link)
+    if b not in g.edges:
+        raise NotFoundError(f"edge {b} not in graph")
+    if b not in brute_bridges(g):
+        raise ValueError(f"edge {b} is not a bridge")
+    # b is a bridge, so b[0]'s side of it is what b[0] reaches without b[1]
+    side = reachable(g.adj, (b[0],), (b[1],))
+    if (m1 in side) == (m2 in side):
+        raise ValueError("monitors must lie on opposite sides of the bridge")
+    report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, monitors)))
+    targets = {b} | adjacent_links(g, b)
+    return targets <= report.unidentifiable
 
 
 def brute_is_k_edge_connected(g: Graph, k: int) -> bool:

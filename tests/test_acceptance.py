@@ -32,7 +32,6 @@ from linkscope.graph import Graph, cycle_edges, edge
 from linkscope.identifiability import (
     MetricAssignment,
     build_matrix,
-    check_lemma1,
     enumerate_monitor_paths,
     identifiable_links,
     recover,
@@ -56,7 +55,7 @@ from linkscope.witness import (
     is_nonseparating_cycle,
 )
 
-from .oracles import reference_split_components
+from .oracles import check_lemma1, reference_split_components
 
 SCAN_CAP = 100000
 RANDOM_PLACEMENT_COUNT = 300

@@ -94,12 +94,12 @@ class TestKConnectivity:
 
 class TestOracleAgreement:
     def test_small_corpus(self):
-        graphs = list(all_connected_graphs(4)) + list(all_connected_graphs(5))
+        graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
         graphs += [g for i, g in enumerate(all_connected_graphs(6)) if i % 201 == 0]
         for g in graphs:
             assert bridges(g) == brute_bridges(g)
             assert cut_vertices(g) == brute_cut_vertices(g)
-            for k in (2, 3):
+            for k in range(1, 5):
                 assert is_k_vertex_connected(g, k) == menger_is_k_vertex_connected(g, k)
                 assert is_k_edge_connected(g, k) == brute_is_k_edge_connected(g, k)
 
@@ -122,3 +122,40 @@ class TestOracleAgreement:
     def test_three_connected_iff_connectivity_at_least_three(self):
         for g in all_connected_graphs(5):
             assert (vertex_connectivity(g) >= 3) == is_k_vertex_connected(g, 3)
+
+
+
+class TestDegreeExits:
+    """A node of degree below k answers False before any DFS (Whitney:
+    vertex connectivity <= edge connectivity <= minimum degree).  The
+    connected corpus is in TestOracleAgreement.test_small_corpus."""
+
+    def test_disconnected_graphs(self):
+        for g in (
+            Graph([1, 2]),
+            Graph([1, 2, 3], [(1, 2)]),
+            Graph(edges=[(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+            Graph([*k_n(4).nodes, 5], k_n(4).edges),
+            Graph(edges=[*k_n(4).edges, *k_n(4, start=5).edges]),
+        ):
+            for k in range(1, 5):
+                assert not is_k_vertex_connected(g, k) and not menger_is_k_vertex_connected(g, k)
+                assert not is_k_edge_connected(g, k) and not brute_is_k_edge_connected(g, k)
+
+    def test_single_node_is_k_edge_connected_for_every_k(self):
+        single = Graph([1])
+        for k in range(1, 6):
+            assert is_k_edge_connected(single, k)
+            assert not is_k_vertex_connected(single, k)
+
+    def test_k2(self):
+        k2 = k_n(2)
+        assert is_k_vertex_connected(k2, 1) and is_k_edge_connected(k2, 1)
+        assert not is_k_vertex_connected(k2, 2) and not is_k_edge_connected(k2, 2)
+
+    def test_complete_graph_on_k_plus_one_nodes(self):
+        # every degree equals k: the bound is met, not missed
+        for k in range(1, 6):
+            g = k_n(k + 1)
+            assert is_k_vertex_connected(g, k) and is_k_edge_connected(g, k)
+            assert not is_k_vertex_connected(g, k + 1) and not is_k_edge_connected(g, k + 1)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from itertools import permutations
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +14,6 @@ from linkscope.graph import (
     MAX_HEADER_NODES,
     Graph,
     add_edge,
-    canonical_cycle,
     edge,
     is_connected,
     is_simple_path,
@@ -30,7 +27,6 @@ from linkscope.graph import (
 from linkscope.witness import is_nonseparating_cycle
 
 from .conftest import k_n, path_n
-from .oracles import reference_canonical_cycle
 
 
 class TestParse:
@@ -212,13 +208,3 @@ class TestQueries:
         g = path_n(3000)
         assert list(iter_simple_paths(g, 1, 3000)) == [tuple(range(1, 3001))]
 
-    def test_canonical_cycle(self):
-        assert canonical_cycle((3, 1, 2)) == (1, 2, 3)
-        assert canonical_cycle((2, 1, 3)) == (1, 2, 3)
-        assert canonical_cycle((4, 3, 2, 1)) == (1, 2, 3, 4)
-
-    def test_canonical_cycle_matches_all_rotations(self):
-        labels = (7, 2, 11, 0, 5, 3, 9)
-        for n in range(3, 8):
-            for cycle in permutations(labels[:n]):
-                assert canonical_cycle(cycle) == reference_canonical_cycle(cycle), cycle

@@ -21,10 +21,8 @@ from linkscope.tomography import extend
 from linkscope.identifiability import (
     MeasurementVector,
     MetricAssignment,
-    adjacent_links,
     build_matrix,
     certify_full_rank,
-    check_lemma1,
     constructed_paths,
     enumerate_monitor_paths,
     identifiable_links,
@@ -34,7 +32,14 @@ from linkscope.identifiability import (
 )
 
 from .conftest import path_n
-from .oracles import fraction_identifiable_columns, fraction_rank, reference_path_sums, reference_rref
+from .oracles import (
+    adjacent_links,
+    check_lemma1,
+    fraction_identifiable_columns,
+    fraction_rank,
+    reference_path_sums,
+    reference_rref,
+)
 
 
 class TestPathEnumeration:

@@ -4,7 +4,7 @@ import pytest
 
 from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
 from linkscope.errors import NotFoundError, TooFewMonitorsError
-from linkscope.graph import Graph, remove_edge, remove_node
+from linkscope.graph import Graph, add_edge, remove_edge, remove_node
 from linkscope.tomography import (
     condition_1,
     condition_2,
@@ -18,7 +18,7 @@ from linkscope.tomography import (
 )
 
 from .conftest import c_n, path_n
-from .oracles import brute_is_k_edge_connected
+from .oracles import brute_is_k_edge_connected, menger_is_k_vertex_connected
 
 
 class TestInteriorGraph:
@@ -76,6 +76,16 @@ class TestConditions:
         assert condition_2(k4, (1, 2))
         assert not condition_2(c4, (1, 3))
         assert not condition_2(c_n(5), (1, 2))
+
+    def test_condition_2_matches_menger_on_corpus(self):
+        import itertools
+
+        for n in (4, 5):
+            for g in all_connected_graphs(n):
+                for pair in itertools.combinations(sorted(g.nodes), 2):
+                    joined = g if g.has_edge(*pair) else add_edge(g, *pair)
+                    want = menger_is_k_vertex_connected(joined, 3)
+                    assert condition_2(g, pair) == want, (sorted(g.edges), pair)
 
     def test_prop2_examples(self, k4, c4):
         assert prop2_characterization(k4, (1, 2))

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from linkscope.corpus import all_connected_graphs, named_fixtures
-from linkscope.errors import InvalidCycleError, NotInteriorError, TooLargeError
+from linkscope.errors import InvalidCycleError, NotFoundError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
 from linkscope.tomography import condition_1, condition_2, interior_links
 from linkscope.witness import (
@@ -21,7 +21,7 @@ from linkscope.witness import (
 )
 
 from .conftest import c_n, k_n
-from .oracles import brute_has_structure, reference_all_cycles
+from .oracles import brute_has_structure, reference_all_cycles, reference_cycles_through_edge
 
 
 def case_b_instance():
@@ -75,6 +75,48 @@ class TestCycleEnumeration:
         for n in range(1, 7):
             for g in all_connected_graphs(n):
                 assert all_cycles(g) == reference_all_cycles(g), sorted(g.edges)
+
+
+class TestCycleTable:
+    """cycles_through_edge and all_cycles read one cycle table per graph."""
+
+    def test_cycles_through_edge_matches_reference_on_small_graphs(self):
+        for n in range(1, 7):
+            for g in all_connected_graphs(n):
+                links = g.sorted_edges()
+                want = [reference_cycles_through_edge(g, e) for e in links]
+                # the first query fills the table of g; a twin graph fills
+                # its own table through all_cycles first
+                assert [cycles_through_edge(g, e) for e in links] == want, links
+                twin = Graph(g.nodes, g.edges)
+                all_cycles(twin)
+                assert [cycles_through_edge(twin, e) for e in links] == want, links
+
+    def test_reversed_link_and_bridge(self, bowtie):
+        g = Graph(edges=[*bowtie.edges, (4, 6)])
+        assert cycles_through_edge(g, (4, 3)) == cycles_through_edge(g, (3, 4))
+        assert cycles_through_edge(g, (4, 6)) == []
+
+    def test_returned_lists_are_fresh(self, k4):
+        cycles = cycles_through_edge(k4, (3, 4))
+        everything = all_cycles(k4)
+        cycles.clear()
+        everything.append((9, 9, 9))
+        assert cycles_through_edge(k4, (3, 4)) == [(1, 3, 4), (2, 3, 4), (1, 2, 3, 4), (1, 2, 4, 3)]
+        assert all_cycles(k4) == reference_all_cycles(k4)
+        assert cycles_through_edge(k4, (3, 4)) is not cycles_through_edge(k4, (3, 4))
+
+    def test_non_edge_raises(self, c4):
+        with pytest.raises(NotFoundError):
+            cycles_through_edge(c4, (1, 3))
+        all_cycles(c4)
+        with pytest.raises(NotFoundError):
+            cycles_through_edge(c4, (1, 3))
+
+    def test_table_is_invisible_to_equality(self, k4):
+        twin = Graph(k4.nodes, k4.edges)
+        all_cycles(k4)
+        assert k4 == twin and hash(k4) == hash(twin)
 
 
 class TestFindNonseparating:
