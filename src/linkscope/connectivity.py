@@ -3,28 +3,47 @@
 One iterative lowpoint DFS (Hopcroft & Tarjan, 1973), `_lowpoint`, yields
 the bridges, the cut vertices and the blocks (as node lists) of a graph in a
 single pass; every other routine in the package that needs any of the three
-calls it.  It runs on an adjacency dict, so callers can hand it the graph
-with one edge skipped or one node deleted without building that graph.  The
-k-connectivity predicates are built on it: 2-vertex-connected means no cut
-vertex, 3-vertex-connected adds that no G - v has a cut vertex, and
-3-edge-connected means no G - e has a bridge.  Deletions of three or more
-nodes or edges, needed only for k >= 4, are enumerated directly.
+calls it.  It runs on an adjacency dict, and `_without` is the one way to
+delete nodes or edges: it hands `_lowpoint` the smaller graph's adjacency
+without building that graph.
+
+Both k-connectivity predicates, for every k >= 2, are one rule over such
+deletions:
+
+* G with n > k nodes is k-vertex-connected exactly when, for every set S of
+  k - 2 nodes, G - S is connected and has no cut vertex, that is, when
+  `_lowpoint(G - S)` yields one block that holds all n - k + 2 nodes;
+* G is k-edge-connected exactly when G is connected and, for every set F
+  of k - 2 edges, G - F has no bridge.
+
+Proof sketch: a deletion of fewer than k members that disconnects G contains
+a minimal one, C.  Keep one member c of C and pad the rest of C up to k - 2
+members with nodes or edges that are not in C (for nodes, leaving a node on
+each of two sides of the cut; n > k leaves room).  Then c is a cut vertex or
+a bridge of what remains, so some S or F fails.  Conversely a cut vertex or
+bridge of G - S or G - F, together with S or F, is a deletion of k - 1
+members that disconnects G.  The one-block test covers the connectivity of
+G - S, and for edges the argument needs only G itself connected, so no
+connectivity walk runs per S or F.
 
 Whitney's inequality, vertex connectivity <= edge connectivity <= minimum
 degree, gives both predicates an exact early exit before any DFS: a node of
 degree below k settles the answer as False (for vertex connectivity once the
-graph has more than k nodes, for edge connectivity once it has two).  An
-independent Menger-style oracle cross-checks the predicates in the test
-suite.
+graph has more than k nodes, for edge connectivity once it has two).  For
+the edge rule this exit is load-bearing, not only fast: a graph that passes
+it with n >= 2 has at least k edges, so the pad above exists.  Without it
+K2 would pass as 3-edge-connected: its one edge is the only F, and G - F
+has no bridge.  The rule is still exponential in k.  An independent
+Menger-style oracle cross-checks the predicates in the test suite.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import DisconnectedError
-from .graph import Edge, Graph, edge, is_connected, reachable
+from .graph import Edge, Graph, edge, is_connected
 
 
 def _require_connected(g: Graph) -> None:
@@ -94,91 +113,74 @@ def _lowpoint(adj: Mapping[int, Iterable[int]]) -> tuple[set[Edge], set[int], li
     return bridge_set, cuts, blocks
 
 
+def _without(
+    adj: Mapping[int, AbstractSet[int]], nodes: Iterable[int] = (), edges: Iterable[Edge] = ()
+) -> dict[int, AbstractSet[int]]:
+    """The adjacency of the graph minus the given nodes and edges.  The
+    dict is a shallow copy: only the entries of the deleted nodes' neighbours
+    and of the deleted edges' ends are new sets."""
+    view = dict(adj)
+    gone = set(nodes)
+    touched: set[int] = set()
+    for v in gone:
+        touched |= view.pop(v)
+    for x in touched - gone:
+        view[x] = view[x] - gone
+    for a, b in edges:
+        view[a] = view[a] - {b}
+        view[b] = view[b] - {a}
+    return view
+
+
 def bridges(g: Graph) -> frozenset[Edge]:
     """Edges whose removal disconnects the (connected) graph."""
     _require_connected(g)
-    return _bridges_any(g)
-
-
-def _bridges_any(g: Graph, skip: Edge | None = None) -> frozenset[Edge]:
-    """Bridge set of an arbitrary graph, per component.  With `skip`, the
-    bridges of the graph minus that edge."""
-    adj = g.adj
-    if skip is not None:
-        a, b = skip
-        adj = dict(adj)
-        adj[a] = adj[a] - {b}
-        adj[b] = adj[b] - {a}
-    return frozenset(_lowpoint(adj)[0])
+    return frozenset(_lowpoint(g.adj)[0])
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
     """Nodes whose removal disconnects the (connected) graph."""
     _require_connected(g)
-    return _cut_vertices_any(g)
-
-
-def _cut_vertices_any(g: Graph, deleted: int | None = None) -> frozenset[int]:
-    """Cut vertices of an arbitrary graph, per component.  With `deleted`,
-    the cut vertices of the graph minus that node."""
-    adj = g.adj
-    if deleted is not None:
-        adj = dict(adj)
-        for x in adj.pop(deleted):
-            adj[x] = adj[x] - {deleted}
-    return frozenset(_lowpoint(adj)[1])
+    return frozenset(_lowpoint(g.adj)[1])
 
 
 def is_k_vertex_connected(g: Graph, k: int) -> bool:
     """Standard definition: more than k nodes, and no deletion of fewer than
-    k nodes disconnects the graph.  K_n therefore reports connectivity n-1."""
+    k nodes disconnects the graph.  K_n therefore reports connectivity n-1.
+    For k >= 2, G - S must be one block of all its nodes for every set S of
+    k - 2 nodes (see the module docstring)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if g.node_count <= k:
+    n = g.node_count
+    if n <= k:
         return False
-    if any(len(ns) < k for ns in g.adj.values()):
+    adj = g.adj
+    if any(len(ns) < k for ns in adj.values()):
         return False
-    if not is_connected(g):
-        return False
-    if k >= 2 and _cut_vertices_any(g):
-        return False
-    # G - v is connected (no cut vertex), so a cut vertex of it is the
-    # second node of a disconnecting pair
-    nodes = g.sorted_nodes()
-    if k >= 3 and any(_cut_vertices_any(g, v) for v in nodes):
-        return False
-    for r in range(3, k):
-        for subset in combinations(nodes, r):
-            rest = [v for v in nodes if v not in subset]
-            if len(reachable(g.adj, (rest[0],), subset)) < len(rest):
-                return False
-    return True
+    if k == 1:
+        return is_connected(g)
+    one_block = [n - k + 2]
+    return all(
+        [len(block) for block in _lowpoint(_without(adj, s))[2]] == one_block
+        for s in combinations(g.sorted_nodes(), k - 2)
+    )
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:
     """Connected, and no deletion of fewer than k edges disconnects it.  A
-    single node is k-edge-connected for every k."""
+    single node is k-edge-connected for every k.  For k >= 2, G - F must
+    have no bridge for every set F of k - 2 edges; the degree exit before
+    that loop is what makes it exact (see the module docstring)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if g.node_count >= 2 and any(len(ns) < k for ns in g.adj.values()):
+    adj = g.adj
+    if g.node_count >= 2 and any(len(ns) < k for ns in adj.values()):
         return False
     if not is_connected(g):
         return False
-    if k == 1:
-        return True
-    if _bridges_any(g):
-        return False
-    if k == 2:
-        return True
-    if k == 3:
-        # no single edge is a bridge, so check bridges of every g - e
-        return not any(_bridges_any(g, e) for e in g.sorted_edges())
-    edges = g.sorted_edges()
-    for r in range(2, k):
-        for subset in combinations(edges, r):
-            if not is_connected(Graph(g.nodes, g.edges - set(subset))):
-                return False
-    return True
+    return k == 1 or not any(
+        _lowpoint(_without(adj, edges=f))[0] for f in combinations(g.sorted_edges(), k - 2)
+    )
 
 
 def vertex_connectivity(g: Graph) -> int:

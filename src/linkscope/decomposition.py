@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connectivity import _lowpoint
+from .connectivity import _lowpoint, _without
 from .errors import DisconnectedError
 from .graph import Edge, Graph, edge, is_connected, reachable
 
@@ -84,7 +84,7 @@ def _first_separation_pair(nodes: frozenset[int], adj: dict[int, set[int]]) -> t
     if len(nodes) < 4:
         return None
     for a in sorted(nodes):
-        cuts = _lowpoint({v: ns - {a} for v, ns in adj.items() if v != a})[1]
+        cuts = _lowpoint(_without(adj, (a,)))[1]
         if cuts:
             # a smaller partner b would have been found at a = b already
             return a, min(cuts)

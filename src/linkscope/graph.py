@@ -120,6 +120,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the graph from its nodes and edges, so the
+        # cycle table is not carried
+        return Graph, (self.nodes, self.edges)
+
 
 # ---------------------------------------------------------------------------
 # construction / mutation operators

@@ -175,12 +175,11 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
 
 
 def verify_placement(
-    g: Graph,
-    trace: PlacementTrace,
-    cap: int = DEFAULT_PATH_CAP,
-    evidence: list[str | None] | None = None,
-) -> bool | None:
-    """Whether the trace's monitors make every link identifiable.
+    g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CAP
+) -> tuple[bool | None, str | None]:
+    """Whether the trace's monitors make every link identifiable, and the
+    check that decided: "extended graph", "constructed paths" or "path
+    enumeration".
 
     False when the extended graph is not 3-vertex-connected (or there are
     fewer than three monitors).  Otherwise the exact rank oracle decides.
@@ -188,25 +187,17 @@ def verify_placement(
     to the reducer, and reaching rank |E| proves True.  Only when the built
     paths fall short are all paths enumerated, and the rank of that matrix
     gives True or False.  The built rows count against ``cap``, which bounds
-    both steps together.  None means the cap stopped the rank oracle before
-    either step decided, so it gave no evidence either way.
-
-    When a list is passed as ``evidence``, the check that decided is
-    appended to it: "extended graph", "constructed paths", "path
-    enumeration", or None alongside a None verdict."""
+    both steps together.  (None, None) means the cap stopped the rank
+    oracle before either step decided, so it gave no evidence either way."""
     monitors = trace.monitors
     if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
         # the two added nodes of the extended graph have fewer than three
         # neighbours
-        verdict, kind = False, EXTENDED_GRAPH
-    else:
-        try:
-            verdict, kind = _achieves_full_identifiability(g, monitors, cap)
-        except PathExplosionError:
-            verdict, kind = None, None
-    if evidence is not None:
-        evidence.append(kind)
-    return verdict
+        return False, EXTENDED_GRAPH
+    try:
+        return _achieves_full_identifiability(g, monitors, cap)
+    except PathExplosionError:
+        return None, None
 
 
 def _achieves_full_identifiability(g: Graph, candidate: MonitorSet, cap: int) -> tuple[bool, str]:

@@ -16,9 +16,9 @@ two-monitor one.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
-from .connectivity import _bridges_any, is_k_edge_connected, is_k_vertex_connected
+from .connectivity import _lowpoint, _without, is_k_edge_connected, is_k_vertex_connected
 from .errors import NotFoundError, TooFewMonitorsError
 from .graph import (
     Edge,
@@ -27,7 +27,6 @@ from .graph import (
     edge,
     is_connected,
     reachable,
-    remove_edge,
     remove_node,
 )
 
@@ -83,21 +82,27 @@ def interior_links(g: Graph, monitors: MonitorSet) -> frozenset[Edge]:
     return frozenset(e for e in g.edges if m1 not in e and m2 not in e)
 
 
-def condition_1(g: Graph, monitors: MonitorSet) -> bool:
-    """Every interior link can be removed without creating a bridge.
+def _each_removable(g: Graph, links: Collection[Edge]) -> bool:
+    """G - e is 2-edge-connected for every e among the links (True for none).
 
     G - e is 2-edge-connected exactly when G is and G - e has no bridge: a
     bridge of G stays a bridge of G - e, or is e and disconnects it.  An end
     of e with degree 2 or less in G has degree 1 or less in G - e, which
-    has at least four nodes, so that settles it without a DFS."""
-    monitors = validate_monitor_pair(g, monitors)
-    links = sorted(interior_links(g, monitors))
+    settles it without a DFS."""
     if not links:
         return True
     adj = g.adj
     if any(len(adj[v]) <= 2 or len(adj[w]) <= 2 for v, w in links):
         return False
-    return is_k_edge_connected(g, 2) and not any(_bridges_any(g, e) for e in links)
+    return is_k_edge_connected(g, 2) and not any(
+        _lowpoint(_without(adj, edges=(e,)))[0] for e in links
+    )
+
+
+def condition_1(g: Graph, monitors: MonitorSet) -> bool:
+    """Every interior link can be removed without creating a bridge."""
+    monitors = validate_monitor_pair(g, monitors)
+    return _each_removable(g, interior_links(g, monitors))
 
 
 def condition_2(g: Graph, monitors: MonitorSet) -> bool:
@@ -153,9 +158,7 @@ def prop5_both_sides(g: Graph, monitors: MonitorSet) -> tuple[bool, bool]:
     """(each real link removable leaving 2-edge-connectivity,
     extended graph 3-edge-connected) -- asserted equal by theory."""
     ext = extend(g, monitors)
-    lhs = all(
-        is_k_edge_connected(remove_edge(ext.graph, link), 2) for link in g.sorted_edges()
-    )
+    lhs = _each_removable(ext.graph, g.edges)
     rhs = is_k_edge_connected(ext.graph, 3)
     return lhs, rhs
 

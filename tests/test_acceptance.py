@@ -192,7 +192,7 @@ def _placement_worker(batch: list[tuple]) -> dict:
         g = Graph(edges=edges)
         out["graphs"] += 1
         trace = mmp(g)
-        if verify_placement(g, trace, cap=SCAN_CAP):
+        if verify_placement(g, trace, cap=SCAN_CAP)[0]:
             out["verified"] += 1
         else:
             out["failures"].append(("verify", sorted(g.edges)))
@@ -270,7 +270,7 @@ class TestAcceptance:
         assert placement_scan["verified"] == placement_scan["graphs"], placement_scan["failures"]
         randoms = _random_placement_instances()
         for g in randoms:
-            assert verify_placement(g, mmp(g), cap=SCAN_CAP), sorted(g.edges)
+            assert verify_placement(g, mmp(g), cap=SCAN_CAP)[0], sorted(g.edges)
         print(
             f"\nC1 placement sufficiency: PASS "
             f"({placement_scan['graphs']} exhaustive graphs on 3-6 nodes, "

@@ -99,7 +99,7 @@ class TestOracleAgreement:
         for g in graphs:
             assert bridges(g) == brute_bridges(g)
             assert cut_vertices(g) == brute_cut_vertices(g)
-            for k in range(1, 5):
+            for k in range(1, g.node_count + 2):
                 assert is_k_vertex_connected(g, k) == menger_is_k_vertex_connected(g, k)
                 assert is_k_edge_connected(g, k) == brute_is_k_edge_connected(g, k)
 
@@ -155,7 +155,16 @@ class TestDegreeExits:
 
     def test_complete_graph_on_k_plus_one_nodes(self):
         # every degree equals k: the bound is met, not missed
-        for k in range(1, 6):
+        for k in range(1, 8):
             g = k_n(k + 1)
             assert is_k_vertex_connected(g, k) and is_k_edge_connected(g, k)
             assert not is_k_vertex_connected(g, k + 1) and not is_k_edge_connected(g, k + 1)
+
+    def test_two_k5s_joined_by_two_disjoint_edges(self):
+        # minimum degree 4 passes the degree exit up to k = 4, but the two
+        # joining edges, and either pair of their ends, are 2-cuts
+        g = Graph(edges=[*k_n(5).edges, *k_n(5, start=6).edges, (1, 6), (2, 7)])
+        for k in range(1, 6):
+            assert is_k_vertex_connected(g, k) == (k <= 2) == menger_is_k_vertex_connected(g, k)
+            assert is_k_edge_connected(g, k) == (k <= 2) == brute_is_k_edge_connected(g, k)
+        assert vertex_connectivity(g) == 2

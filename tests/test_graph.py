@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +27,7 @@ from linkscope.graph import (
     serialize,
 )
 
-from linkscope.witness import is_nonseparating_cycle
+from linkscope.witness import all_cycles, is_nonseparating_cycle
 
 from .conftest import k_n, path_n
 
@@ -159,6 +162,13 @@ class TestMutators:
     def test_graph_is_immutable(self, k4):
         with pytest.raises(AttributeError):
             k4.nodes = frozenset()
+
+    def test_pickle_and_copy_round_trips(self, k4):
+        all_cycles(k4)  # fills k4's cycle table; the copies rebuild their own
+        for g in (Graph([1, 2, 3, 9], [(1, 2), (2, 3)]), k4):
+            for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert h == g and hash(h) == hash(g) and h.adj == g.adj
+                assert all_cycles(h) == all_cycles(g)
 
 
 class TestQueries:

@@ -84,8 +84,8 @@ class TestMmpTraces:
 
 class TestVerification:
     def test_examples(self, k4, c4):
-        assert verify_placement(k4, mmp(k4))
-        assert verify_placement(c4, mmp(c4))
+        assert verify_placement(k4, mmp(k4))[0]
+        assert verify_placement(c4, mmp(c4))[0]
 
     def test_two_monitor_trace_fails(self, k4):
         trace = mmp(k4)
@@ -99,31 +99,27 @@ class TestVerification:
             tiebreak=LOWEST,
             decomposition=trace.decomposition,
         )
-        assert verify_placement(k4, trace)
-        assert not verify_placement(k4, forced)
+        assert verify_placement(k4, trace)[0]
+        assert not verify_placement(k4, forced)[0]
 
     def test_verified_on_random_graphs(self):
         for seed in range(12):
             g = random_connected_graph(6 + seed % 4, 0.45, 900 + seed)
-            assert verify_placement(g, mmp(g))
+            assert verify_placement(g, mmp(g))[0]
 
     def test_evidence_names_the_deciding_check(self, k4):
         trace = mmp(k4)
-        evidence = []
-        assert verify_placement(k4, trace, evidence=evidence) is True
-        assert verify_placement(k4, trace._replace(monitors=(1, 2)), evidence=evidence) is False
-        assert verify_placement(k4, trace, cap=1, evidence=evidence) is None
-        assert evidence == ["constructed paths", "extended graph", None]
+        assert verify_placement(k4, trace) == (True, "constructed paths")
+        assert verify_placement(k4, trace._replace(monitors=(1, 2))) == (False, "extended graph")
+        assert verify_placement(k4, trace, cap=1) == (None, None)
 
     def test_enumeration_decides_when_constructed_paths_fall_short(self, k4, monkeypatch):
         # K4 with monitors 1, 2, 3 has six measurement paths; three rows fed
         # to a certificate that fell short leave cap - 3 for the enumeration
         monkeypatch.setattr(placement, "certify_full_rank", lambda g, ms, cap: (False, 3))
-        evidence = []
-        assert verify_placement(k4, mmp(k4), cap=9, evidence=evidence) is True
-        assert verify_placement(k4, mmp(k4), cap=8, evidence=evidence) is None
-        assert verify_placement(k4, mmp(k4), cap=3, evidence=evidence) is None
-        assert evidence == ["path enumeration", None, None]
+        assert verify_placement(k4, mmp(k4), cap=9) == (True, "path enumeration")
+        assert verify_placement(k4, mmp(k4), cap=8) == (None, None)
+        assert verify_placement(k4, mmp(k4), cap=3) == (None, None)
 
     def test_stalled_input_needs_no_enumeration(self, monkeypatch):
         def stall(*args, **kwargs):
@@ -131,7 +127,7 @@ class TestVerification:
 
         monkeypatch.setattr(placement, "enumerate_monitor_paths", stall)
         g = Graph(range(1, 33), STALL_EDGES)
-        assert verify_placement(g, mmp(g), cap=2000) is True
+        assert verify_placement(g, mmp(g), cap=2000)[0] is True
 
 
 class TestMinimality:
