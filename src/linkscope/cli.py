@@ -24,7 +24,7 @@ from .errors import (
     PathExplosionError,
     SelfLoopError,
 )
-from .graph import Graph, edge, parse_graph, serialize
+from .graph import Graph, edge, parse_graph, serialize, validate_monitors
 from .identifiability import (
     DEFAULT_PATH_CAP,
     MetricAssignment,
@@ -42,7 +42,6 @@ from .tomography import (
     prop2_characterization,
     prop5_both_sides,
     prop6_both_sides,
-    validate_monitors,
 )
 
 EXIT_OK = 0

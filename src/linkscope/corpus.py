@@ -6,8 +6,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .graph import Graph, is_connected
-from .tomography import MonitorSet
+from .graph import Graph, MonitorSet, is_connected
 
 MAX_EXHAUSTIVE_NODES = 7
 

@@ -43,16 +43,15 @@ class BiconnectedComponent(NamedTuple):
 class TriconnectedComponent(NamedTuple):
     """One canonical component of a block: rigid piece or maximal polygon.
 
-    ``attachment_pairs`` are the separation pairs through which the component
-    meets its siblings; they include the pair of a real edge that was assigned
-    here in place of its virtual copy.  ``separation_vertices`` unions the
-    members of those pairs with the host graph's cut vertices lying inside.
+    ``separation_vertices`` are the host graph's cut vertices lying inside,
+    plus the members of every separation pair through which the component
+    meets its siblings: the pair of each virtual edge, and the pair of a
+    real edge that was assigned here in place of its virtual copy.
     """
 
     nodes: frozenset[int]
     real_edges: frozenset[Edge]
     virtual_edges: frozenset[Edge]
-    attachment_pairs: frozenset[Edge]
     separation_vertices: frozenset[int]
 
     @property
@@ -192,14 +191,13 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
 
     out = []
     for idx, (nodes, real, virtual) in enumerate(atoms):
-        pairs = frozenset(virtual) | frozenset(assigned.get(idx, set()))
+        pairs = virtual | assigned.get(idx, set())
         sep = (b.cut_vertices & nodes) | {v for e in pairs for v in e}
         out.append(
             TriconnectedComponent(
                 nodes=nodes,
                 real_edges=frozenset(real),
                 virtual_edges=frozenset(virtual),
-                attachment_pairs=pairs,
                 separation_vertices=frozenset(sep),
             )
         )

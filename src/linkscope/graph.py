@@ -5,6 +5,9 @@ every result that cites a node must use the caller's own names.  All mutating
 operations return a fresh graph, so search code can fork thousands of variants
 without aliasing worries.
 
+A monitor set is a tuple of node ids, checked against its graph here, so
+the rank oracle and the witness searches need no connectivity conditions.
+
 `reachable` is the package's one reachability walk: connectivity tests,
 component sweeps and side-of-a-cut questions elsewhere all call it with the
 nodes they delete, rather than building the smaller graph.
@@ -27,12 +30,14 @@ from .errors import (
     InvalidCycleError,
     NotFoundError,
     SelfLoopError,
+    TooFewMonitorsError,
 )
 
 NodeId = int
 Edge = tuple[int, int]
 Path = tuple[int, ...]
 Cycle = tuple[int, ...]
+MonitorSet = tuple[int, ...]
 
 # The header "nodes: n" allocates every node up front, so n is bounded
 # before anything is built; no analysis here runs on graphs near this size.
@@ -200,14 +205,6 @@ def serialize(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def remove_edge(g: Graph, e: Edge) -> Graph:
-    """Delete one edge; the node set is preserved (endpoints may go isolated)."""
-    e = edge(*e)
-    if e not in g.edges:
-        raise NotFoundError(f"edge {e} not in graph")
-    return Graph(g.nodes, g.edges - {e})
-
-
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     if u not in g.nodes or v not in g.nodes:
         raise NotFoundError(f"endpoint of ({u}, {v}) not in graph")
@@ -267,6 +264,25 @@ def validate_cycle(g: Graph, cycle: Cycle) -> Cycle:
     if not is_cycle(g, cycle):
         raise InvalidCycleError(f"not a cycle of the graph: {cycle}")
     return tuple(cycle)
+
+
+def validate_monitors(g: Graph, monitors: MonitorSet, minimum: int = 2) -> MonitorSet:
+    ms = tuple(monitors)
+    if len(set(ms)) != len(ms):
+        raise ValueError("monitor ids must be distinct")
+    missing = [m for m in ms if m not in g.nodes]
+    if missing:
+        raise NotFoundError(f"monitors {missing} not in graph")
+    if len(ms) < minimum:
+        raise TooFewMonitorsError(f"need at least {minimum} monitors, got {len(ms)}")
+    return ms
+
+
+def validate_monitor_pair(g: Graph, monitors: MonitorSet) -> tuple[int, int]:
+    ms = validate_monitors(g, monitors, minimum=2)
+    if len(ms) != 2:
+        raise ValueError(f"operation is defined for exactly two monitors, got {len(ms)}")
+    return ms[0], ms[1]
 
 
 def cycle_edges(cycle: Cycle) -> list[Edge]:

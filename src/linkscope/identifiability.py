@@ -54,12 +54,13 @@ from .errors import (
 from .graph import (
     Edge,
     Graph,
+    MonitorSet,
     Path,
     edge,
     is_connected,
     iter_simple_paths,
+    validate_monitors,
 )
-from .tomography import MonitorSet, validate_monitors
 
 DEFAULT_PATH_CAP = 100000
 

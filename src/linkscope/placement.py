@@ -14,7 +14,6 @@ graph under the default lowest-id tie-break.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import NamedTuple
 
 from .connectivity import is_k_vertex_connected
@@ -26,12 +25,11 @@ from .decomposition import (
 )
 from .errors import (
     DisconnectedError,
-    InconclusiveError,
     InfeasibleStageError,
     PathExplosionError,
     TooSmallError,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, MonitorSet, is_connected
 from .identifiability import (
     DEFAULT_PATH_CAP,
     build_matrix,
@@ -39,7 +37,7 @@ from .identifiability import (
     enumerate_monitor_paths,
     identifiable_links,
 )
-from .tomography import MonitorSet, extend
+from .tomography import extend
 
 
 class _TieBreakFields(NamedTuple):
@@ -194,47 +192,15 @@ def verify_placement(
         # the two added nodes of the extended graph have fewer than three
         # neighbours
         return False, EXTENDED_GRAPH
+    if not is_k_vertex_connected(extend(g, monitors).graph, 3):
+        return False, EXTENDED_GRAPH
     try:
-        return _achieves_full_identifiability(g, monitors, cap)
-    except PathExplosionError:
-        return None, None
-
-
-def _achieves_full_identifiability(g: Graph, candidate: MonitorSet, cap: int) -> tuple[bool, str]:
-    """The verdict for a candidate monitor set, and the check that gave it."""
-    if len(candidate) > 2:
-        if not is_k_vertex_connected(extend(g, candidate).graph, 3):
-            return False, EXTENDED_GRAPH
-        proved, used = certify_full_rank(g, candidate, cap)
+        proved, used = certify_full_rank(g, monitors, cap)
         if proved:
             return True, CONSTRUCTED_PATHS
         if used == cap:
-            raise PathExplosionError(cap)
-        cap -= used
-    matrix = build_matrix(g, enumerate_monitor_paths(g, candidate, cap))
-    return identifiable_links(matrix).fully_identifiable, PATH_ENUMERATION
-
-
-def minimality_probe(
-    g: Graph,
-    trace: PlacementTrace,
-    budget: int = 100000,
-    cap: int = DEFAULT_PATH_CAP,
-) -> bool:
-    """True when no monitor set one smaller than the trace's achieves full
-    identifiability; candidate sets are enumerated exhaustively up to the
-    budget, beyond which the probe refuses to answer."""
-    k = len(trace.monitors) - 1
-    if k < 2:
-        return True  # fewer than two monitors measure nothing on >= 1 edge
-    examined = 0
-    for candidate in combinations(g.sorted_nodes(), k):
-        examined += 1
-        if examined > budget:
-            raise InconclusiveError(f"probe budget {budget} exhausted")
-        try:
-            if _achieves_full_identifiability(g, candidate, cap)[0]:
-                return False
-        except PathExplosionError:
-            raise InconclusiveError("path cap hit while probing a candidate set") from None
-    return True
+            return None, None
+        paths = enumerate_monitor_paths(g, monitors, cap - used)
+    except PathExplosionError:
+        return None, None
+    return identifiable_links(build_matrix(g, paths)).fully_identifiable, PATH_ENUMERATION

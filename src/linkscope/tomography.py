@@ -19,37 +19,18 @@ from itertools import combinations
 from typing import Collection, NamedTuple
 
 from .connectivity import _lowpoint, _without, is_k_edge_connected, is_k_vertex_connected
-from .errors import NotFoundError, TooFewMonitorsError
 from .graph import (
     Edge,
     Graph,
+    MonitorSet,
     add_edge,
     edge,
     is_connected,
     reachable,
     remove_node,
+    validate_monitor_pair,
+    validate_monitors,
 )
-
-MonitorSet = tuple[int, ...]
-
-
-def validate_monitors(g: Graph, monitors: MonitorSet, minimum: int = 2) -> MonitorSet:
-    ms = tuple(monitors)
-    if len(set(ms)) != len(ms):
-        raise ValueError("monitor ids must be distinct")
-    missing = [m for m in ms if m not in g.nodes]
-    if missing:
-        raise NotFoundError(f"monitors {missing} not in graph")
-    if len(ms) < minimum:
-        raise TooFewMonitorsError(f"need at least {minimum} monitors, got {len(ms)}")
-    return ms
-
-
-def validate_monitor_pair(g: Graph, monitors: MonitorSet) -> tuple[int, int]:
-    ms = validate_monitors(g, monitors, minimum=2)
-    if len(ms) != 2:
-        raise ValueError(f"operation is defined for exactly two monitors, got {len(ms)}")
-    return ms[0], ms[1]
 
 
 class InteriorGraph(NamedTuple):

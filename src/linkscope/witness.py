@@ -34,6 +34,7 @@ from .graph import (
     Cycle,
     Edge,
     Graph,
+    MonitorSet,
     Path,
     _cycle_table,
     cycle_edges,
@@ -42,8 +43,9 @@ from .graph import (
     iter_simple_paths,
     reachable,
     validate_cycle,
+    validate_monitor_pair,
+    validate_monitors,
 )
-from .tomography import MonitorSet, validate_monitor_pair, validate_monitors
 
 SIZE_GUARD = 12
 

@@ -12,22 +12,27 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from linkscope.errors import NotFoundError
+from linkscope.errors import InconclusiveError, NotFoundError, PathExplosionError
 from linkscope.graph import (
     Graph,
     edge,
     is_connected,
     iter_simple_paths,
     reachable,
-    remove_edge,
     remove_node,
+    validate_monitor_pair,
 )
-from linkscope.identifiability import build_matrix, enumerate_monitor_paths, identifiable_links
-from linkscope.tomography import validate_monitor_pair
+from linkscope.identifiability import (
+    DEFAULT_PATH_CAP,
+    build_matrix,
+    enumerate_monitor_paths,
+    identifiable_links,
+)
+from linkscope.placement import PlacementTrace, verify_placement
 
 
 def brute_bridges(g: Graph) -> frozenset:
-    return frozenset(e for e in g.edges if not is_connected(remove_edge(g, e)))
+    return frozenset(e for e in g.edges if not is_connected(Graph(g.nodes, g.edges - {e})))
 
 
 def brute_cut_vertices(g: Graph) -> frozenset:
@@ -192,6 +197,41 @@ def check_lemma1(g: Graph, monitors: tuple, bridge_link: tuple) -> bool:
     report = identifiable_links(build_matrix(g, enumerate_monitor_paths(g, monitors)))
     targets = {b} | adjacent_links(g, b)
     return targets <= report.unidentifiable
+
+
+def minimality_probe(
+    g: Graph,
+    trace: PlacementTrace,
+    budget: int = 100000,
+    cap: int = DEFAULT_PATH_CAP,
+) -> bool:
+    """True when no monitor set one smaller than the trace's achieves full
+    identifiability; candidate sets are enumerated exhaustively up to the
+    budget, beyond which the probe refuses to answer.
+
+    Not independent of the package: two monitors are decided by the rank of
+    the enumerated path matrix, three or more by ``verify_placement``.  A
+    candidate that the path cap leaves undecided makes the probe refuse."""
+    k = len(trace.monitors) - 1
+    if k < 2:
+        return True  # fewer than two monitors measure nothing on >= 1 edge
+    for examined, candidate in enumerate(combinations(g.sorted_nodes(), k), start=1):
+        if examined > budget:
+            raise InconclusiveError(f"probe budget {budget} exhausted")
+        if k == 2:
+            try:
+                paths = enumerate_monitor_paths(g, candidate, cap)
+            except PathExplosionError:
+                full = None
+            else:
+                full = identifiable_links(build_matrix(g, paths)).fully_identifiable
+        else:
+            full = verify_placement(g, trace._replace(monitors=candidate), cap)[0]
+        if full is None:
+            raise InconclusiveError("path cap hit while probing a candidate set")
+        if full:
+            return False
+    return True
 
 
 def brute_is_k_edge_connected(g: Graph, k: int) -> bool:

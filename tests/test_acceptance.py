@@ -37,7 +37,7 @@ from linkscope.identifiability import (
     recover,
     simulate,
 )
-from linkscope.placement import minimality_probe, mmp, verify_placement
+from linkscope.placement import mmp, verify_placement
 from linkscope.tomography import (
     condition_1,
     condition_2,
@@ -55,7 +55,7 @@ from linkscope.witness import (
     is_nonseparating_cycle,
 )
 
-from .oracles import check_lemma1, reference_split_components
+from .oracles import check_lemma1, minimality_probe, reference_split_components
 
 SCAN_CAP = 100000
 RANDOM_PLACEMENT_COUNT = 300

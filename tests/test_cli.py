@@ -511,6 +511,25 @@ class TestStartup:
         assert out.stdout.strip() == "[]"
 
 
+class TestLayering:
+    # monitor sets are checked in the graph layer, so the rank oracle and
+    # the witness searches load no connectivity conditions
+    @pytest.mark.parametrize(
+        "module, absent",
+        [
+            ("linkscope.identifiability", ("linkscope.tomography", "linkscope.connectivity")),
+            ("linkscope.witness", ("linkscope.tomography",)),
+        ],
+        ids=["identifiability", "witness"],
+    )
+    def test_import_skips(self, module, absent):
+        src = os.path.dirname(os.path.dirname(linkscope.__file__))
+        probe = f"import sys, {module}; print(sorted({set(absent)!r} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestCorpusDump:
     def test_round_trips(self, capsys):
         code = main(["corpus", "dump", "fig1a_bridge"])

@@ -79,7 +79,7 @@ class TestTriconnected:
         for comp in comps:
             assert len(comp.nodes) == 4
             assert comp.s_t == 2
-            assert comp.attachment_pairs == {(1, 2)}
+            assert comp.separation_vertices == {1, 2} and comp.virtual_edges <= {(1, 2)}
             # each component carries the shared pair edge, real in exactly one
             assert (1, 2) in comp.real_edges or (1, 2) in comp.virtual_edges
         reals = [comp for comp in comps if (1, 2) in comp.real_edges]
@@ -159,6 +159,11 @@ class TestInvariants:
     def test_separation_vertex_definition(self):
         for g, block in self._all_blocks():
             cuts = cut_vertices(g)
-            for comp in triconnected_components(block, g):
-                expect = (cuts & comp.nodes) | {v for e in comp.attachment_pairs for v in e}
+            comps = triconnected_components(block, g)
+            for comp in comps:
+                # the pairs it meets its siblings at: its virtual edges, and
+                # each real edge that a sibling holds as a virtual copy
+                sibling_virtual = set().union(*(c.virtual_edges for c in comps if c is not comp))
+                pairs = comp.virtual_edges | (comp.real_edges & sibling_virtual)
+                expect = (cuts & comp.nodes) | {v for e in pairs for v in e}
                 assert comp.separation_vertices == expect

@@ -6,9 +6,10 @@ from linkscope.corpus import all_connected_graphs, random_connected_graph
 from linkscope.errors import InconclusiveError, TooSmallError
 from linkscope.graph import Graph
 from linkscope import placement
-from linkscope.placement import LOWEST, PlacementTrace, TieBreak, minimality_probe, mmp, verify_placement
+from linkscope.placement import LOWEST, PlacementTrace, TieBreak, mmp, verify_placement
 
 from .conftest import STALL_EDGES, c_n, path_n
+from .oracles import minimality_probe
 
 
 class TestMmpTraces:
