@@ -34,7 +34,7 @@ from .identifiability import (
     recover,
     simulate,
 )
-from .placement import TieBreak, mmp, verify_placement
+from .placement import mmp, verify_placement
 from .tomography import (
     condition_1,
     condition_2,
@@ -155,8 +155,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args.graph)
-    tiebreak = TieBreak(args.tiebreak, args.seed if args.tiebreak == "seeded" else None)
-    trace = mmp(g, tiebreak)
+    trace = mmp(g, args.seed)
     verified, evidence = verify_placement(g, trace, cap=_default_cap())
     decomposition = []
     for block, comps in trace.decomposition:
@@ -182,7 +181,7 @@ def _cmd_place(args) -> int:
         "k_min": trace.k_min,
         "verified": verified,
         "evidence": evidence,
-        "tiebreak": {"policy": trace.tiebreak.policy, "seed": trace.tiebreak.seed},
+        "tiebreak": {"policy": "lowest" if trace.seed is None else "seeded", "seed": trace.seed},
         "stage1_degree_monitors": sorted(trace.stage1_degree_monitors),
         "per_triconnected": [
             {
@@ -215,13 +214,12 @@ def _cmd_place(args) -> int:
 def _cmd_identify(args) -> int:
     g = _load_graph(args.graph)
     monitors = validate_monitors(g, _parse_monitors(args.monitors), minimum=2)
-    cap = args.cap if args.cap is not None else _default_cap()
+    cap = _default_cap()
     report: dict = {"monitors": list(monitors)}
     values = None
     if args.weights:
         assignment = _load_weights(args.weights, g)
-        matrix, vector = simulate(g, monitors, assignment, cap)
-        values = vector.values
+        matrix, values = simulate(g, monitors, assignment, cap)
         # str() refuses integers longer than the interpreter's digit limit;
         # check before the reduction (0, also on interpreters without a
         # limit, means unlimited)
@@ -234,7 +232,7 @@ def _cmd_identify(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_CAP
-        verdict, recovered = recover(matrix, vector)
+        verdict, recovered = recover(matrix, values)
         report["measurements"] = [str(x) for x in values]
         report["recovered"] = {_edge_str(e): str(x) for e, x in sorted(recovered.items())}
     else:
@@ -307,15 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("place", help="compute a minimum monitor placement")
     p.add_argument("graph")
-    p.add_argument("--tiebreak", choices=("lowest", "seeded"), default="lowest")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sample each stage's free choice with this seed")
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser("identify", help="rank oracle, simulation and recovery")
     p.add_argument("graph")
     p.add_argument("--monitors", required=True)
     p.add_argument("--weights", help="file of 'u v value' rational weights")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--dump-matrix", help="write 'path ; incidence ; value' rows here")
     p.set_defaults(func=_cmd_identify)
 

@@ -7,8 +7,8 @@ here has no bond components: a separation pair shared by k sides simply
 appears as k copies of the pair edge (virtual in all sides but at most one).
 When the pair is an actual graph edge, that edge is assigned to the
 canonically smallest component attached to the pair, and the others keep a
-virtual copy.  Components of two nodes never arise, which keeps the placement
-algorithm's per-component loop honest about its size guard.
+virtual copy.  Every split side is a non-empty piece plus the pair, so no
+component has fewer than three nodes.
 
 Split order does not affect the result: the rigid (3-connected) pieces are
 unique, and the polygon merge closes any chain of cycle fragments back into

@@ -31,6 +31,7 @@ from .errors import (
     NotFoundError,
     SelfLoopError,
     TooFewMonitorsError,
+    TooLargeError,
 )
 
 NodeId = int
@@ -51,6 +52,11 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_node_id(v) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise ValueError(f"node ids must be non-negative integers, got {v!r}")
+
+
 class Graph:
     """A simple undirected graph: frozen node set, frozen edge set.
 
@@ -67,13 +73,18 @@ class Graph:
     adj: dict[int, frozenset[int]]
 
     def __init__(self, nodes: Iterable[int] = (), edges: Iterable[Edge] = ()):
+        # every id is checked before a set can fold it into an equal one (True
+        # into 1, say); a plain non-negative int passes on the fast test
         node_set = set()
         for v in nodes:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"node ids must be non-negative integers, got {v!r}")
+            if v.__class__ is not int or v < 0:
+                _check_node_id(v)
             node_set.add(v)
         edge_set = set()
         for u, v in edges:
+            if u.__class__ is not int or v.__class__ is not int or u < 0 or v < 0:
+                _check_node_id(u)
+                _check_node_id(v)
             edge_set.add(edge(u, v))
             node_set.add(u)
             node_set.add(v)
@@ -345,12 +356,13 @@ def iter_simple_paths(
             on_path.remove(path.pop())
 
 
-def _cycle_table(g: Graph) -> tuple[list[Cycle], dict[Edge, list[Cycle]]]:
+def _cycle_table(g: Graph, limit: int) -> tuple[list[Cycle], dict[Edge, list[Cycle]]]:
     """The graph's cycle table: every simple cycle, canonical (the least
     tuple over its rotations in both directions), sorted by (length, tuple),
     and a dict from each link to the cycles through it, in the same order.
     Walked on the first call and kept in the graph's `_cycles` slot;
-    callers copy what they hand out.
+    callers copy what they hand out.  The walk raises TooLargeError as soon
+    as it finds more than ``limit`` cycles.
 
     A cycle is found once, from its smallest node a and the larger x of a's
     two neighbours on it: as the a..x path through nodes above a whose
@@ -366,9 +378,11 @@ def _cycle_table(g: Graph) -> tuple[list[Cycle], dict[Edge, list[Cycle]]]:
     for a in g.sorted_nodes():
         for x in sorted(g.adj[a]):
             if x > a:
-                cycles.extend(
-                    p for p in iter_simple_paths(g, a, x, below) if len(p) > 2 and p[1] < x
-                )
+                for p in iter_simple_paths(g, a, x, below):
+                    if len(p) > 2 and p[1] < x:
+                        if len(cycles) == limit:
+                            raise TooLargeError(f"cycle table limited to {limit} cycles, graph has more")
+                        cycles.append(p)
         below.add(a)
     cycles.sort(key=lambda c: (len(c), c))
     by_link: dict[Edge, list[Cycle]] = {e: [] for e in g.edges}

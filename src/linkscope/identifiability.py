@@ -43,7 +43,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
-from typing import Container, Iterator, NamedTuple
+from typing import Container, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -94,10 +94,6 @@ class MetricAssignment(_MetricAssignmentFields):
         if missing or extra:
             raise ValueError(f"weights must cover exactly the graph edges (missing {sorted(missing)}, extra {sorted(extra)})")
         return cls(weights)
-
-
-class MeasurementVector(NamedTuple):
-    values: tuple[Fraction, ...]
 
 
 class IdentifiabilityReport(NamedTuple):
@@ -413,8 +409,8 @@ def simulate(
     monitors: MonitorSet,
     assignment: MetricAssignment,
     cap: int = DEFAULT_PATH_CAP,
-) -> tuple[MeasurementMatrix, MeasurementVector]:
-    """Enumerate paths and produce their exact metric sums."""
+) -> tuple[MeasurementMatrix, tuple[Fraction, ...]]:
+    """Enumerate paths and produce their exact metric sums, one per row."""
     MetricAssignment.for_graph(g, assignment.weights)  # recheck coverage
     paths = enumerate_monitor_paths(g, monitors, cap)
     matrix = build_matrix(g, paths)
@@ -424,22 +420,22 @@ def simulate(
     for (u, v), w in assignment.weights.items():
         scaled[u, v] = scaled[v, u] = w.numerator * (scale // w.denominator)
     values = tuple(Fraction(sum(scaled[step] for step in zip(p, p[1:])), scale) for p in paths)
-    return matrix, MeasurementVector(values)
+    return matrix, values
 
 
 def recover(
-    matrix: MeasurementMatrix, vector: MeasurementVector
+    matrix: MeasurementMatrix, values: Sequence[Fraction | int]
 ) -> tuple[IdentifiabilityReport, dict[Edge, Fraction]]:
     """The verdict and the exact value of every identifiable edge, both
     from one reduction; no tolerance.  The verdict equals
     ``identifiable_links(matrix)``.
 
-    Raises when the vector contradicts the row space (no generating
-    assignment exists).
+    Raises when the values, one rational measurement per row, contradict
+    the row space (no generating assignment exists).
     """
-    if len(vector.values) != len(matrix.rows):
-        raise ValueError("vector length must match the number of matrix rows")
-    values = [Fraction(v) for v in vector.values]
+    if len(values) != len(matrix.rows):
+        raise ValueError("the number of values must match the number of matrix rows")
+    values = [Fraction(v) for v in values]
     # measurements over their common denominator: an integer value column
     scale = lcm(*(v.denominator for v in values))
     red = _Reducer(len(matrix.edge_index))

@@ -7,8 +7,9 @@ plus monitors) using nodes that are neither; each biconnected component is
 topped up the same way against its cut-vertex count; finally the global
 monitor count is raised to three.  Component processing order is canonical
 (smallest contained node first) and monitor counts are re-evaluated as each
-component is processed, so the whole procedure is a pure function of the
-graph under the default lowest-id tie-break.
+component is processed.  Without a seed each stage takes the lowest-id
+eligible nodes, so the procedure is a pure function of the graph; a seed
+makes the stages sample them with ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -40,27 +41,6 @@ from .identifiability import (
 from .tomography import extend
 
 
-class _TieBreakFields(NamedTuple):
-    policy: str = "lowest"
-    seed: int | None = None
-
-
-class TieBreak(_TieBreakFields):
-    """Resolves each stage's free choice: deterministic lowest-id, or a
-    seeded shuffle recorded for reproducibility."""
-
-    __slots__ = ()
-
-    def __new__(cls, policy: str = "lowest", seed: int | None = None):
-        if policy not in ("lowest", "seeded"):
-            raise ValueError("tie-break policy must be 'lowest' or 'seeded'")
-        if policy == "seeded" and seed is None:
-            raise ValueError("seeded tie-break needs a seed")
-        return super().__new__(cls, policy, seed)
-
-
-LOWEST = TieBreak("lowest")
-
 # the check that decided a verdict, as ``verify_placement`` reports it
 EXTENDED_GRAPH = "extended graph"
 CONSTRUCTED_PATHS = "constructed paths"
@@ -90,17 +70,20 @@ class PlacementTrace(NamedTuple):
     per_triconnected: tuple[TriStageRecord, ...]
     per_biconnected: tuple[BiStageRecord, ...]
     topup: frozenset[int]
-    k_min: int
-    tiebreak: TieBreak
     # each block with the triconnected components the stages read (none for
     # a block of two nodes), in block order
     decomposition: tuple[tuple[BiconnectedComponent, tuple[TriconnectedComponent, ...]], ...]
+    seed: int | None = None
+
+    @property
+    def k_min(self) -> int:
+        return len(self.monitors)
 
 
-def _chooser(tiebreak: TieBreak):
-    if tiebreak.policy == "lowest":
+def _chooser(seed: int | None):
+    if seed is None:
         return lambda eligible, k: sorted(eligible)[:k]
-    rng = random.Random(tiebreak.seed)
+    rng = random.Random(seed)
     return lambda eligible, k: sorted(rng.sample(sorted(eligible), k))
 
 
@@ -126,13 +109,13 @@ def _top_up(
     return m, added
 
 
-def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
+def mmp(g: Graph, seed: int | None = None) -> PlacementTrace:
     """Compute the monitor placement; see the module docstring for stages."""
     if g.node_count < 3:
         raise TooSmallError(f"placement needs at least 3 nodes, got {g.node_count}")
     if not is_connected(g):
         raise DisconnectedError("graph must be connected")
-    choose = _chooser(tiebreak)
+    choose = _chooser(seed)
     monitors: set[int] = {v for v in g.nodes if g.degree(v) < 3}
     stage1 = frozenset(monitors)
 
@@ -146,8 +129,6 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
         comps = tuple(triconnected_components(block, g))
         decomposition.append((block, comps))
         for ti, comp in enumerate(comps):
-            if len(comp.nodes) < 3:
-                continue
             m_t, added = _top_up("component", comp.nodes, comp.separation_vertices, monitors, choose)
             tri_records.append(TriStageRecord(bi, ti, comp.nodes, comp.s_t, m_t, added))
         m_b, added = _top_up("block", block.nodes, block.cut_vertices, monitors, choose)
@@ -166,9 +147,8 @@ def mmp(g: Graph, tiebreak: TieBreak = LOWEST) -> PlacementTrace:
         per_triconnected=tuple(tri_records),
         per_biconnected=tuple(bi_records),
         topup=topup,
-        k_min=len(monitors),
-        tiebreak=tiebreak,
         decomposition=tuple(decomposition),
+        seed=seed,
     )
 
 

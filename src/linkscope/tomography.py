@@ -42,12 +42,9 @@ class InteriorGraph(NamedTuple):
 
 
 class ExtendedGraph(NamedTuple):
-    base: Graph
     graph: Graph
     virtual_1: int
     virtual_2: int
-    virtual_edges: frozenset[Edge]
-    monitors: MonitorSet
 
 
 def interior_graph(g: Graph, monitors: MonitorSet) -> InteriorGraph:
@@ -130,9 +127,8 @@ def extend(g: Graph, monitors: MonitorSet) -> ExtendedGraph:
     ms = validate_monitors(g, monitors, minimum=3)
     v1 = max(g.nodes) + 1
     v2 = v1 + 1
-    virtual = frozenset(edge(v, m) for v in (v1, v2) for m in ms)
-    ext = Graph(g.nodes | {v1, v2}, g.edges | virtual)
-    return ExtendedGraph(g, ext, v1, v2, virtual, ms)
+    virtual = {edge(v, m) for v in (v1, v2) for m in ms}
+    return ExtendedGraph(Graph(g.nodes | {v1, v2}, g.edges | virtual), v1, v2)
 
 
 def prop5_both_sides(g: Graph, monitors: MonitorSet) -> tuple[bool, bool]:

@@ -8,7 +8,8 @@ together with a second cycle and two disjoint monitor attachment paths, and
 classify links by whether the attachments can run clear of the second
 cycle.  Searches are deterministic: cycles are enumerated in (length,
 canonical tuple) order and paths in (length, lexicographic) order, with
-first-hit return.  Graphs beyond 12 nodes are rejected up front.
+first-hit return.  Graphs beyond 12 nodes are rejected up front, and a
+cycle table past a million cycles as its walk reaches that count.
 
 Every cycle comes from the graph's cycle table (graph._cycle_table): the
 cycles of a graph are walked once, on the first query, and each search over
@@ -48,6 +49,9 @@ from .graph import (
 )
 
 SIZE_GUARD = 12
+# the most cycles a graph's cycle table may hold: K10 has 556,014, K11 ten
+# times as many
+CYCLE_GUARD = 1000000
 
 
 def _guard(g: Graph) -> None:
@@ -69,12 +73,12 @@ def cycles_through_edge(g: Graph, vw: Edge) -> list[Cycle]:
     e = edge(*vw)
     if e not in g.edges:
         raise NotFoundError(f"edge {e} not in graph")
-    return list(_cycle_table(g)[1][e])
+    return list(_cycle_table(g, CYCLE_GUARD)[1][e])
 
 
 def all_cycles(g: Graph) -> list[Cycle]:
     """Every simple cycle of the graph, canonical, sorted by (length, tuple)."""
-    return list(_cycle_table(g)[0])
+    return list(_cycle_table(g, CYCLE_GUARD)[0])
 
 
 def is_nonseparating_cycle(g: Graph, cycle: Cycle, monitors: MonitorSet) -> bool:

@@ -383,10 +383,10 @@ class TestAcceptance:
                 g, {e: Fraction(rng.randint(1, 60), rng.randint(1, 60)) for e in g.edges}
             )
             try:
-                matrix, vector = simulate(g, monitors, weights, cap=SCAN_CAP)
+                matrix, values = simulate(g, monitors, weights, cap=SCAN_CAP)
             except PathExplosionError:
                 continue
-            report, recovered = recover(matrix, vector)
+            report, recovered = recover(matrix, values)
             assert report == identifiable_links(matrix)
             assert set(recovered) == set(report.identifiable)
             for e, value in recovered.items():

@@ -3,22 +3,25 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import linkscope
-from linkscope import identifiability
+from linkscope import identifiability, witness
 from linkscope.cli import main
 from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.graph import parse_graph, serialize
 
-from .conftest import STALL_EDGES
+from .conftest import STALL_EDGES, k_n
 
 
 @pytest.fixture
@@ -106,7 +109,7 @@ class TestPlace:
         assert comp["virtual_edges"] == []
 
     def test_seeded_tiebreak_recorded(self, capsys, k4_file):
-        code, report = run(capsys, ["place", k4_file, "--tiebreak", "seeded", "--seed", "7"])
+        code, report = run(capsys, ["place", k4_file, "--seed", "7"])
         assert code == 0
         assert report["tiebreak"] == {"policy": "seeded", "seed": 7}
         assert len(report["monitors"]) == 3
@@ -233,8 +236,10 @@ class TestIdentify:
         assert report["rank"] == 2
         assert built == [3]
 
-    def test_cap_exceeded(self, capsys, tri_file):
-        assert main(["identify", tri_file, "--monitors", "1,2", "--cap", "1"]) == 4
+    def test_cap_exceeded(self, capsys, tri_file, monkeypatch):
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
+        assert main(["identify", tri_file, "--monitors", "1,2"]) == 4
+        assert capsys.readouterr().err == "error: number of measurement paths exceeds cap 1\n"
 
     def test_env_cap(self, capsys, tri_file, monkeypatch):
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
@@ -287,6 +292,48 @@ class TestHostileInput:
         w.write_text(f"1 2 1\n1 3 {value}\n2 3 1\n")
         assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, err",
+        [
+            ("1 3", "error: line 2: expected 'u v value', got '1 3'\n"),
+            ("1 3 x/y", "error: line 2: malformed weight line '1 3 x/y'\n"),
+            ("1 3 1/0", "error: line 2: malformed weight line '1 3 1/0'\n"),
+        ],
+        ids=["two-fields", "malformed-value", "zero-denominator"],
+    )
+    def test_bad_weight_line(self, capsys, tri_file, tmp_path, line, err):
+        w = tmp_path / "w.txt"
+        w.write_text(f"1 2 1\n{line}\n2 3 1\n")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("command", [["place"], ["identify", "--monitors", "1,2"]], ids=["place", "identify"])
+    def test_bad_env_cap(self, capsys, k4_file, monkeypatch, command):
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "abc")
+        assert main([command[0], k4_file, *command[1:]]) == 2
+        assert capsys.readouterr().err == "error: bad LINKSCOPE_PATH_CAP value 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "link, err",
+        [("3--4", "malformed link '3--4', expected 'u-v'"), ("a-b", "malformed link 'a-b'")],
+        ids=["three-parts", "not-numbers"],
+    )
+    def test_bad_link(self, capsys, k4_file, link, err):
+        argv = ["witness", k4_file, "--monitors", "1,2", "--link", link, "--kind", "lemma3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "header, err",
+        [("nodes: x", "malformed node-count header"), ("nodes: -1", "node count must be non-negative")],
+        ids=["not-a-number", "negative"],
+    )
+    def test_bad_node_count_header(self, capsys, tmp_path, header, err):
+        p = tmp_path / "g.txt"
+        p.write_text(f"{header}\n1 2\n")
+        assert main(["check", str(p), "--monitors", "1,2"]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {err}\n"
 
     def test_decimal_weight_accepted(self, capsys, tri_file, tmp_path):
         w = tmp_path / "w.txt"
@@ -367,10 +414,11 @@ class TestFuzz:
             if command != "place":
                 argv += ["--monitors", monitors.decode("latin-1")]
             if command == "identify":
-                argv += ["--weights", wpath, "--cap", "500"]
+                argv += ["--weights", wpath]
             if command == "witness":
                 argv += ["--link", "1-2", "--kind", "lemma3"]
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cap = {"LINKSCOPE_PATH_CAP": "500"} if command == "identify" else {}
+            with mock.patch.dict(os.environ, cap), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 try:
                     code = main(argv)
                 except SystemExit as exc:  # argparse rejects the arguments
@@ -399,6 +447,21 @@ class TestWitness:
             "path_1": [1],
             "path_2": [2],
         }
+
+    def test_nonsep_found(self, capsys, k4_file):
+        code, report = run(
+            capsys, ["witness", k4_file, "--monitors", "1,2", "--link", "3-4", "--kind", "nonsep"]
+        )
+        assert code == 0
+        assert report == {"kind": "nonsep", "found": True, "cycle": [1, 3, 4]}
+
+    def test_cycle_guard(self, capsys, tmp_path, monkeypatch):
+        # K7 has 1,172 cycles
+        monkeypatch.setattr(witness, "CYCLE_GUARD", 1000)
+        p = tmp_path / "k7.txt"
+        p.write_text(serialize(k_n(7)))
+        assert main(["witness", str(p), "--monitors", "1,2", "--link", "3-4", "--kind", "nonsep"]) == 3
+        assert capsys.readouterr().err == "error: cycle table limited to 1000 cycles, graph has more\n"
 
     def test_nonsep_not_found(self, capsys, tri_file):
         code, report = run(
@@ -546,3 +609,29 @@ class TestCorpusDump:
 
     def test_unknown_fixture(self, capsys):
         assert main(["corpus", "dump", "no_such_fixture"]) == 3
+
+
+class TestReadme:
+    """The README's CLI block names exactly the options of each command."""
+
+    @staticmethod
+    def _help(argv: list[str]) -> str:
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            main([*argv, "--help"])
+        return out.getvalue()
+
+    def test_cli_block_flags_match_the_parser(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = {}
+        for line in block.splitlines():
+            if line.startswith("linkscope "):
+                words = line.split()
+                command = words[1:3] if words[1] == "corpus" else words[1:2]
+                documented[" ".join(command)] = (command, set(re.findall(r"--[a-z][a-z-]*", line)))
+        commands = re.search(r"\{([a-z,]+)\}", self._help([])).group(1).split(",")
+        assert {name.split()[0] for name in documented} == set(commands)
+        for command, flags in documented.values():
+            options = set(re.findall(r"--[a-z][a-z-]*", self._help(command))) - {"--help"}
+            assert flags == options, command

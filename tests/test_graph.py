@@ -163,6 +163,20 @@ class TestQueries:
         assert is_connected(Graph([7]))
         assert is_connected(Graph())
 
+    @pytest.mark.parametrize(
+        "kwargs, bad",
+        [
+            ({"edges": [(-1, 2)]}, "-1"),
+            ({"nodes": [-1]}, "-1"),
+            # True == 1, so a set would fold node 1 into True
+            ({"edges": [(True, 2), (1, 3)]}, "True"),
+        ],
+        ids=["negative-endpoint", "negative-node", "bool-endpoint"],
+    )
+    def test_every_node_id_validated(self, kwargs, bad):
+        with pytest.raises(ValueError, match=f"^node ids must be non-negative integers, got {bad}$"):
+            Graph(**kwargs)
+
     def test_self_loop_rejected_at_edge(self):
         with pytest.raises(ValueError):
             edge(3, 3)

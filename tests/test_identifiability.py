@@ -19,7 +19,6 @@ from linkscope.graph import Graph
 from linkscope.placement import mmp
 from linkscope.tomography import extend
 from linkscope.identifiability import (
-    MeasurementVector,
     MetricAssignment,
     build_matrix,
     certify_full_rank,
@@ -194,15 +193,15 @@ class TestIdentifiableLinks:
 class TestSimulateRecover:
     def test_triangle_values(self, triangle):
         w = MetricAssignment.for_graph(triangle, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
-        matrix, vector = simulate(triangle, (1, 2), w)
-        assert vector.values == (Fraction(1), Fraction(5))
-        assert recover(matrix, vector)[1] == {(1, 2): Fraction(1)}
+        matrix, values = simulate(triangle, (1, 2), w)
+        assert values == (Fraction(1), Fraction(5))
+        assert recover(matrix, values)[1] == {(1, 2): Fraction(1)}
 
     def test_k4_all_ones(self, k4):
         w = MetricAssignment.for_graph(k4, {e: 1 for e in k4.edges})
-        matrix, vector = simulate(k4, (1, 2), w)
-        assert vector.values == (Fraction(1), Fraction(2), Fraction(2), Fraction(3), Fraction(3))
-        assert recover(matrix, vector)[1] == {(1, 2): Fraction(1), (3, 4): Fraction(1)}
+        matrix, values = simulate(k4, (1, 2), w)
+        assert values == (Fraction(1), Fraction(2), Fraction(2), Fraction(3), Fraction(3))
+        assert recover(matrix, values)[1] == {(1, 2): Fraction(1), (3, 4): Fraction(1)}
 
     def test_nonpositive_weight_rejected(self, triangle):
         with pytest.raises(ValueError):
@@ -220,7 +219,7 @@ class TestSimulateRecover:
         matrix = build_matrix(
             triangle, [(1, 2), (1, 3, 2), (1, 2)]
         )  # duplicate dependent row
-        bad = MeasurementVector((Fraction(1), Fraction(5), Fraction(999)))
+        bad = (Fraction(1), Fraction(5), Fraction(999))
         with pytest.raises(InconsistentMeasurementsError):
             recover(matrix, bad)
 
@@ -233,8 +232,8 @@ class TestSimulateRecover:
             w = MetricAssignment.for_graph(
                 g, {e: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for e in g.edges}
             )
-            matrix, vector = simulate(g, monitors, w)
-            verdict, got = recover(matrix, vector)
+            matrix, values = simulate(g, monitors, w)
+            verdict, got = recover(matrix, values)
             report = identifiable_links(matrix)
             assert verdict == report
             assert set(got) == set(report.identifiable)
@@ -246,10 +245,10 @@ class TestSimulateRecover:
             i = next(spanned, None)
             if i is None:
                 continue  # every path adds rank, so no measurement is checked by the others
-            off = list(vector.values)
+            off = list(values)
             off[i] += Fraction(1, 997)
             with pytest.raises(InconsistentMeasurementsError):
-                recover(matrix, MeasurementVector(tuple(off)))
+                recover(matrix, off)
             perturbed += 1
         assert perturbed >= 10
 
@@ -321,8 +320,7 @@ class TestReducer:
         """recover's verdict on the scaled path sums equals the incidence
         rows' own; returns whether the rank is full."""
         report = identifiable_links(matrix)
-        vector = MeasurementVector(tuple(Fraction(r[-1]) for r in valued))
-        assert recover(matrix, vector)[0] == report
+        assert recover(matrix, [Fraction(r[-1]) for r in valued])[0] == report
         return report.fully_identifiable
 
     def test_basis_is_d_times_rref_on_small_instances(self):
@@ -374,16 +372,16 @@ class TestSimulateOracle:
         rng = random.Random(8)
         for g, pair in _small_two_monitor_instances():
             w = self._weights(g, rng)
-            matrix, vector = simulate(g, pair, w)
-            assert vector.values == reference_path_sums(matrix.paths, w.weights)
+            matrix, values = simulate(g, pair, w)
+            assert values == reference_path_sums(matrix.paths, w.weights)
 
     def test_identify_sized_instances(self):
         rng = random.Random(9)
         for g, monitors in _identify_sized_instances():
             w = self._weights(g, rng)
-            matrix, vector = simulate(g, monitors, w)
-            assert vector.values == reference_path_sums(matrix.paths, w.weights)
-            assert all(type(x) is Fraction for x in vector.values)
+            matrix, values = simulate(g, monitors, w)
+            assert values == reference_path_sums(matrix.paths, w.weights)
+            assert all(type(x) is Fraction for x in values)
 
 
 class TestBridgeAndExterior:

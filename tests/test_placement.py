@@ -6,7 +6,7 @@ from linkscope.corpus import all_connected_graphs, random_connected_graph
 from linkscope.errors import InconclusiveError, TooSmallError
 from linkscope.graph import Graph
 from linkscope import placement
-from linkscope.placement import LOWEST, PlacementTrace, TieBreak, mmp, verify_placement
+from linkscope.placement import PlacementTrace, mmp, verify_placement
 
 from .conftest import STALL_EDGES, c_n, path_n
 from .oracles import minimality_probe
@@ -53,18 +53,10 @@ class TestMmpTraces:
         assert mmp(k4) == mmp(k4)
 
     def test_seeded_reproducible(self, k4):
-        a = mmp(k4, TieBreak("seeded", 11))
-        b = mmp(k4, TieBreak("seeded", 11))
+        a = mmp(k4, seed=11)
+        b = mmp(k4, seed=11)
         assert a == b
         assert len(a.monitors) == 3
-
-    def test_seeded_needs_seed(self):
-        with pytest.raises(ValueError):
-            TieBreak("seeded")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            TieBreak("random", 3)
 
     def test_stage1_complete_on_corpus(self):
         for i, g in enumerate(all_connected_graphs(5)):
@@ -96,8 +88,6 @@ class TestVerification:
             per_triconnected=(),
             per_biconnected=(),
             topup=frozenset(),
-            k_min=2,
-            tiebreak=LOWEST,
             decomposition=trace.decomposition,
         )
         assert verify_placement(k4, trace)[0]

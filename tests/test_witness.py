@@ -7,6 +7,7 @@ import pytest
 from linkscope.corpus import all_connected_graphs, named_fixtures
 from linkscope.errors import InvalidCycleError, NotFoundError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
+from linkscope import witness
 from linkscope.tomography import condition_1, condition_2, interior_links
 from linkscope.witness import (
     Lemma3Witness,
@@ -117,6 +118,19 @@ class TestCycleTable:
         twin = Graph(k4.nodes, k4.edges)
         all_cycles(k4)
         assert k4 == twin and hash(k4) == hash(twin)
+
+    def test_cycle_guard(self, monkeypatch):
+        # K7 has 1,172 cycles; the walk stops at the 1,001st
+        monkeypatch.setattr(witness, "CYCLE_GUARD", 1000)
+        for query in (
+            lambda g: all_cycles(g),
+            lambda g: cycles_through_edge(g, (3, 4)),
+            lambda g: find_lemma3_witness(g, (3, 4), (1, 2)),
+        ):
+            with pytest.raises(TooLargeError, match="^cycle table limited to 1000 cycles, graph has more$"):
+                query(k_n(7))
+        monkeypatch.setattr(witness, "CYCLE_GUARD", 1172)
+        assert len(all_cycles(k_n(7))) == 1172
 
 
 class TestFindNonseparating:
