@@ -155,8 +155,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args.graph)
+    cap = _default_cap()  # a malformed value exits before the placement runs
     trace = mmp(g, args.seed)
-    verified, evidence = verify_placement(g, trace, cap=_default_cap())
+    verified, evidence = verify_placement(g, trace, cap=cap)
     decomposition = []
     for block, comps in trace.decomposition:
         entry = {

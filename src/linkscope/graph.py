@@ -13,11 +13,15 @@ component sweeps and side-of-a-cut questions elsewhere all call it with the
 nodes they delete, rather than building the smaller graph.
 `iter_simple_paths` is the package's one simple-path walker: measurement
 paths, the cycle table and the witness attachment paths are all read off it.
+It expands neighbours in ascending order, read from the graph's sorted
+neighbour tuples, which are built once per graph on first use.
 
 A graph's cycle table lists every simple cycle once and files each cycle
 under each of its links.  It is walked at most once per graph, on first use,
-and kept in a slot of the graph that equality ignores, so the witness
-searches over a graph's links share one walk.
+and every path that walk lists is a cycle.  The sorted neighbours and the
+cycle table are kept in slots of the graph that equality, hashing, pickling
+and copying ignore, so the walks over a graph share one set of sorts and
+the witness searches over its links share one cycle walk.
 """
 
 from __future__ import annotations
@@ -62,11 +66,11 @@ class Graph:
 
     Equality and hashing are structural.  Adjacency is precomputed once at
     construction; neighbour iteration order is always explicitly sorted where
-    determinism matters.  The `_cycles` slot stays empty until
-    `_cycle_table` fills it.
+    determinism matters.  The `_nbrs` and `_cycles` slots stay empty until
+    `sorted_neighbours` and `_cycle_table` fill them.
     """
 
-    __slots__ = ("nodes", "edges", "adj", "_cycles")
+    __slots__ = ("nodes", "edges", "adj", "_nbrs", "_cycles")
 
     nodes: frozenset[int]
     edges: frozenset[Edge]
@@ -137,8 +141,8 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild the graph from its nodes and edges, so the
-        # cycle table is not carried
+        # pickle and copy rebuild the graph from its nodes and edges, so
+        # neither the sorted neighbours nor the cycle table is carried
         return Graph, (self.nodes, self.edges)
 
 
@@ -281,8 +285,8 @@ def validate_monitors(g: Graph, monitors: MonitorSet, minimum: int = 2) -> Monit
     ms = tuple(monitors)
     if len(set(ms)) != len(ms):
         raise ValueError("monitor ids must be distinct")
-    missing = [m for m in ms if m not in g.nodes]
-    if missing:
+    if not g.nodes.issuperset(ms):
+        missing = [m for m in ms if m not in g.nodes]
         raise NotFoundError(f"monitors {missing} not in graph")
     if len(ms) < minimum:
         raise TooFewMonitorsError(f"need at least {minimum} monitors, got {len(ms)}")
@@ -318,6 +322,18 @@ def reachable(adj: Mapping[int, Iterable[int]], seeds: Iterable[int], removed: C
     return seen
 
 
+def sorted_neighbours(g: Graph) -> dict[int, tuple[int, ...]]:
+    """Each node's neighbours as an ascending tuple.  Built on the first call
+    and kept in the graph's `_nbrs` slot; callers must not change it."""
+    try:
+        return g._nbrs
+    except AttributeError:
+        pass
+    nbrs = {v: tuple(sorted(ns)) for v, ns in g.adj.items()}
+    object.__setattr__(g, "_nbrs", nbrs)
+    return nbrs
+
+
 def iter_simple_paths(
     g: Graph,
     src: int,
@@ -325,19 +341,19 @@ def iter_simple_paths(
     forbidden_internal: frozenset[int] | set[int] = frozenset(),
 ) -> Iterator[Path]:
     """Yield every simple path src..dst whose internal nodes avoid the given
-    set.  Neighbour expansion is sorted, so the yield order is deterministic
-    (lexicographic by node sequence).  The walk keeps an explicit stack of
-    neighbour iterators, so path length is not bounded by the recursion
-    limit."""
+    set.  Neighbours are expanded in ascending order (`sorted_neighbours`),
+    so the yield order is deterministic (lexicographic by node sequence).
+    The walk keeps an explicit stack of neighbour iterators, so path length
+    is not bounded by the recursion limit."""
     if src not in g.nodes or dst not in g.nodes:
         raise NotFoundError("path endpoints must be graph nodes")
     if src == dst:
         yield (src,)
         return
-    adj = g.adj
+    nbrs = sorted_neighbours(g)
     path = [src]
     on_path = {src}
-    stack = [iter(sorted(adj[src]))]
+    stack = [iter(nbrs[src])]
     while stack:
         for w in stack[-1]:
             if w in on_path:
@@ -349,7 +365,7 @@ def iter_simple_paths(
                 continue
             path.append(w)
             on_path.add(w)
-            stack.append(iter(sorted(adj[w])))
+            stack.append(iter(nbrs[w]))
             break
         else:
             stack.pop()
@@ -364,26 +380,28 @@ def _cycle_table(g: Graph, limit: int) -> tuple[list[Cycle], dict[Edge, list[Cyc
     callers copy what they hand out.  The walk raises TooLargeError as soon
     as it finds more than ``limit`` cycles.
 
-    A cycle is found once, from its smallest node a and the larger x of a's
-    two neighbours on it: as the a..x path through nodes above a whose
-    second node is the smaller neighbour.  That path is already canonical.
-    Its links are the pairs of nodes consecutive on it, the last node and
-    the first included."""
+    A cycle is found once, from its smallest node a and the two neighbours
+    y < x of a on it: as the y..x path through nodes above a, with a put in
+    front.  That tuple is already canonical, and every y..x path through
+    nodes above a closes such a cycle, so the walk lists nothing else.  The
+    links of a cycle are the pairs of nodes consecutive on it, the last node
+    and the first included."""
     try:
         return g._cycles
     except AttributeError:
         pass
+    nbrs = sorted_neighbours(g)
     cycles: list[Cycle] = []
     below: set[int] = set()
     for a in g.sorted_nodes():
-        for x in sorted(g.adj[a]):
-            if x > a:
-                for p in iter_simple_paths(g, a, x, below):
-                    if len(p) > 2 and p[1] < x:
-                        if len(cycles) == limit:
-                            raise TooLargeError(f"cycle table limited to {limit} cycles, graph has more")
-                        cycles.append(p)
         below.add(a)
+        above = [v for v in nbrs[a] if v > a]
+        for i, y in enumerate(above):
+            for x in above[i + 1:]:
+                for p in iter_simple_paths(g, y, x, below):
+                    if len(cycles) == limit:
+                        raise TooLargeError(f"cycle table limited to {limit} cycles, graph has more")
+                    cycles.append((a, *p))
     cycles.sort(key=lambda c: (len(c), c))
     by_link: dict[Edge, list[Cycle]] = {e: [] for e in g.edges}
     for c in cycles:

@@ -140,8 +140,8 @@ class _Reducer:
 
     def add(self, row: tuple[int, ...] | list[int]) -> bool:
         d = self.d
-        hits = [(row[c], b) for c, b in zip(self.pivots, self.basis) if row[c]]
-        free = self._free
+        pivots, basis, free = self.pivots, self.basis, self._free
+        hits = [(row[c], b) for c, b in zip(pivots, basis) if row[c]]
         cols = free + list(range(self.ncols, len(row)))
         res = []
         for f in cols:
@@ -149,9 +149,12 @@ class _Reducer:
             for a, b in hits:
                 s -= a * b[f]
             res.append(s)
-        k = next((i for i in range(len(free)) if res[i]), None)
-        if k is None:
-            if any(res[len(free):]):
+        nfree = len(free)
+        k = 0
+        while k < nfree and not res[k]:
+            k += 1
+        if k == nfree:
+            if any(res[nfree:]):
                 raise InconsistentMeasurementsError(
                     "measurement vector is inconsistent with the paths"
                 )
@@ -166,7 +169,7 @@ class _Reducer:
             new[f] = x
         # keep the basis at lead times the reduced form; only the free
         # columns, the value column and a row's own pivot can change
-        for c, b in zip(self.pivots, self.basis):
+        for c, b in zip(pivots, basis):
             bp = b[pivot]
             if bp:
                 for f in cols:
@@ -178,9 +181,12 @@ class _Reducer:
                 b[c] = lead
         self.d = lead
         del free[k]
-        at = next((i for i, c in enumerate(self.pivots) if c > pivot), len(self.pivots))
-        self.pivots.insert(at, pivot)
-        self.basis.insert(at, new)
+        # pivots ascend, and a new pivot tends to come late
+        at = len(pivots)
+        while at and pivots[at - 1] > pivot:
+            at -= 1
+        pivots.insert(at, pivot)
+        basis.insert(at, new)
         return True
 
     def unit_rows(self) -> list[tuple[int, list[int]]]:
@@ -215,7 +221,9 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
             found.append(p)
             if len(out) + len(found) > cap:
                 raise PathExplosionError(cap)
-        found.sort(key=lambda p: (len(p), p))
+        # the walk yields lexicographic order and the sort is stable, so
+        # ordering by length alone gives (length, sequence) order
+        found.sort(key=len)
         out.extend(found)
     return out
 
@@ -238,11 +246,11 @@ def _row(p: Path, index: dict[tuple[int, int], int], ncols: int) -> tuple[int, .
     if len(set(p)) != len(p):
         raise InvalidPathError(f"not a simple path of the graph: {p}")
     row = [0] * ncols
-    for step in zip(p, p[1:]):
-        i = index.get(step)
-        if i is None:
-            raise InvalidPathError(f"not a simple path of the graph: {p}")
-        row[i] = 1
+    try:
+        for step in zip(p, p[1:]):
+            row[index[step]] = 1
+    except KeyError:
+        raise InvalidPathError(f"not a simple path of the graph: {p}") from None
     return tuple(row)
 
 

@@ -104,10 +104,20 @@ def condition_2(g: Graph, monitors: MonitorSet) -> bool:
 
 def prop2_characterization(g: Graph, monitors: MonitorSet) -> bool:
     """Deletion-based equivalent of condition 2: after deleting any two nodes
-    the rest is connected, or every component keeps a surviving monitor."""
+    the rest is connected, or every component keeps a surviving monitor.
+
+    A non-monitor node x of degree 2 or less settles it without a walk: the
+    answer is False.  Delete x's neighbours, padded with any other nodes to
+    two (there are at least 4 nodes).  Then x is alone in its component of
+    what remains.  If a monitor survives, x cannot reach it; if both were
+    deleted, the rest holds x and at least one more node, so it is not
+    connected.  A monitor left alone still keeps a surviving monitor, its
+    own, so the exit does not apply to monitors."""
     ms = validate_monitors(g, monitors, minimum=2)
     if g.node_count < 4:
         raise ValueError("characterization needs at least 4 nodes")
+    if any(len(ns) <= 2 for v, ns in g.adj.items() if v not in ms):
+        return False
     nodes = g.sorted_nodes()
     for u, v in combinations(nodes, 2):
         removed = (u, v)

@@ -315,6 +315,17 @@ def menger_is_k_vertex_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def brute_prop2(g: Graph, monitors: tuple) -> bool:
+    """The deletion characterization from its definition, with no shortcut:
+    for every pair of deleted nodes, the rest is connected or each of its
+    components holds a surviving monitor."""
+    for removed in combinations(g.sorted_nodes(), 2):
+        comps = _components(g.nodes, g.adj, set(removed))
+        if len(comps) > 1 and not all(comp & set(monitors) for comp in comps):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # reference triconnected splitter (different order and recursion shape)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linkscope
-from linkscope import identifiability, witness
+from linkscope import cli, identifiability, witness
 from linkscope.cli import main
 from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
@@ -312,6 +312,15 @@ class TestHostileInput:
     def test_bad_env_cap(self, capsys, k4_file, monkeypatch, command):
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "abc")
         assert main([command[0], k4_file, *command[1:]]) == 2
+        assert capsys.readouterr().err == "error: bad LINKSCOPE_PATH_CAP value 'abc'\n"
+
+    def test_bad_env_cap_exits_before_placement(self, capsys, k4_file, monkeypatch):
+        def no_placement(*args):
+            raise AssertionError("mmp ran before the path cap was read")
+
+        monkeypatch.setattr(cli, "mmp", no_placement)
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "abc")
+        assert main(["place", k4_file]) == 2
         assert capsys.readouterr().err == "error: bad LINKSCOPE_PATH_CAP value 'abc'\n"
 
     @pytest.mark.parametrize(

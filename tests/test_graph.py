@@ -24,6 +24,7 @@ from linkscope.graph import (
     parse_graph,
     remove_node,
     serialize,
+    sorted_neighbours,
 )
 
 from linkscope.witness import all_cycles, is_nonseparating_cycle
@@ -149,11 +150,29 @@ class TestMutators:
             k4.nodes = frozenset()
 
     def test_pickle_and_copy_round_trips(self, k4):
-        all_cycles(k4)  # fills k4's cycle table; the copies rebuild their own
+        # fills k4's sorted neighbours and cycle table; the copies rebuild
+        # their own
+        all_cycles(k4)
         for g in (Graph([1, 2, 3, 9], [(1, 2), (2, 3)]), k4):
+            twin = Graph(g.nodes, g.edges)
+            assert g == twin and hash(g) == hash(twin)
             for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
                 assert h == g and hash(h) == hash(g) and h.adj == g.adj
+                assert not hasattr(h, "_nbrs") and not hasattr(h, "_cycles")
+                assert sorted_neighbours(h) == sorted_neighbours(g)
+                assert sorted_neighbours(h) is not sorted_neighbours(g)
                 assert all_cycles(h) == all_cycles(g)
+
+    def test_sorted_neighbours_not_shared_with_derived_graphs(self, k4):
+        nbrs = sorted_neighbours(k4)
+        assert nbrs == {1: (2, 3, 4), 2: (1, 3, 4), 3: (1, 2, 4), 4: (1, 2, 3)}
+        opened = Graph(k4.nodes, k4.edges - {(1, 2)})
+        sorted_neighbours(opened)
+        for parent, child in ((k4, remove_node(k4, 4)), (opened, add_edge(opened, 1, 2))):
+            assert not hasattr(child, "_nbrs")
+            assert sorted_neighbours(child) is not sorted_neighbours(parent)
+            assert sorted_neighbours(child) == {v: tuple(sorted(ns)) for v, ns in child.adj.items()}
+        assert sorted_neighbours(k4) is nbrs and sorted_neighbours(opened)[1] == (3, 4)
 
 
 class TestQueries:

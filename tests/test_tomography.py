@@ -18,7 +18,7 @@ from linkscope.tomography import (
 )
 
 from .conftest import c_n, path_n
-from .oracles import brute_is_k_edge_connected, menger_is_k_vertex_connected
+from .oracles import brute_is_k_edge_connected, brute_prop2, menger_is_k_vertex_connected
 
 
 class TestInteriorGraph:
@@ -102,6 +102,21 @@ class TestConditions:
         for g in all_connected_graphs(5):
             for pair in itertools.combinations(sorted(g.nodes), 2):
                 assert condition_2(g, pair) == prop2_characterization(g, pair)
+
+    def test_prop2_matches_definition(self):
+        # every two-monitor instance on 4-5 nodes and a seeded sample on 6;
+        # the degree exit decides most of them, so count the ones it cannot
+        import itertools
+        import random
+
+        six = random.Random(15).sample(list(all_connected_graphs(6)), 300)
+        walked = 0
+        for g in [*all_connected_graphs(4), *all_connected_graphs(5), *six]:
+            for pair in itertools.combinations(sorted(g.nodes), 2):
+                want = brute_prop2(g, pair)
+                assert prop2_characterization(g, pair) == want, (sorted(g.edges), pair)
+                walked += all(len(g.adj[v]) > 2 for v in g.nodes if v not in pair)
+        assert walked > 100
 
 
 class TestExtendedGraph:

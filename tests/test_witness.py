@@ -7,7 +7,7 @@ import pytest
 from linkscope.corpus import all_connected_graphs, named_fixtures
 from linkscope.errors import InvalidCycleError, NotFoundError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
-from linkscope import witness
+from linkscope import graph, witness
 from linkscope.tomography import condition_1, condition_2, interior_links
 from linkscope.witness import (
     Lemma3Witness,
@@ -116,8 +116,22 @@ class TestCycleTable:
 
     def test_table_is_invisible_to_equality(self, k4):
         twin = Graph(k4.nodes, k4.edges)
-        all_cycles(k4)
+        all_cycles(k4)  # fills k4's sorted neighbours and cycle table
+        assert hasattr(k4, "_nbrs") and not hasattr(twin, "_nbrs")
         assert k4 == twin and hash(k4) == hash(twin)
+
+    def test_walk_lists_only_cycles(self, monkeypatch):
+        listed = []
+        walk = graph.iter_simple_paths
+
+        def spy(*args):
+            for p in walk(*args):
+                listed.append(p)
+                yield p
+
+        monkeypatch.setattr(graph, "iter_simple_paths", spy)
+        cycles = all_cycles(k_n(7))
+        assert len(cycles) == 1172 and len(listed) == len(cycles)
 
     def test_cycle_guard(self, monkeypatch):
         # K7 has 1,172 cycles; the walk stops at the 1,001st
