@@ -24,7 +24,7 @@ from .errors import (
     PathExplosionError,
     SelfLoopError,
 )
-from .graph import Graph, edge, parse_graph, serialize, validate_monitors
+from .graph import Graph, edge, parse_graph, reachable, serialize, validate_monitors
 from .identifiability import (
     DEFAULT_PATH_CAP,
     MetricAssignment,
@@ -38,7 +38,6 @@ from .placement import mmp, verify_placement
 from .tomography import (
     condition_1,
     condition_2,
-    interior_graph,
     prop2_characterization,
     prop5_both_sides,
     prop6_both_sides,
@@ -136,14 +135,18 @@ def _cmd_check(args) -> int:
         "vertex_connectivity": vertex_connectivity(g),
     }
     if len(monitors) == 2:
-        interior = interior_graph(g, monitors)
+        m1, m2 = monitors
+        interior = g.nodes - {m1, m2}
         report["condition1"] = condition_1(g, monitors)
         report["condition2"] = condition_2(g, monitors)
         report["prop2"] = (
             prop2_characterization(g, monitors) if g.node_count >= 4 else None
         )
-        report["interior_connected"] = interior.connected
-        report["exterior_links"] = _edges_json(interior.exterior_links)
+        # the interior is what deleting both monitors leaves
+        report["interior_connected"] = not interior or len(
+            reachable(g.adj, (min(interior),), monitors)
+        ) == len(interior)
+        report["exterior_links"] = _edges_json([e for e in g.edges if m1 in e or m2 in e])
     else:
         lhs5, rhs5 = prop5_both_sides(g, monitors)
         lhs6, rhs6 = prop6_both_sides(g, monitors)

@@ -38,7 +38,6 @@ from .errors import (
     TooLargeError,
 )
 
-NodeId = int
 Edge = tuple[int, int]
 Path = tuple[int, ...]
 Cycle = tuple[int, ...]
@@ -103,10 +102,6 @@ class Graph:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and v in self.adj.get(u, frozenset())
@@ -227,12 +222,6 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     if e in g.edges:
         raise DuplicateEdgeError(f"duplicate edge {u} {v}")
     return Graph(g.nodes, g.edges | {e})
-
-
-def remove_node(g: Graph, v: int) -> Graph:
-    if v not in g.nodes:
-        raise NotFoundError(f"node {v} not in graph")
-    return Graph(g.nodes - {v}, {e for e in g.edges if v not in e})
 
 
 def is_connected(g: Graph) -> bool:

@@ -29,12 +29,13 @@ monitor paths and contributes no new rank.
 
 Enumeration grows with the number of simple paths and is capped.  Full
 identifiability has a cheaper positive proof: ``constructed_paths`` builds
-measurement paths directly from spanning trees, and ``certify_full_rank``
-feeds them to the same reducer until the rank reaches the number of links.
-A full rank on some real rows is a full rank of the whole matrix, so that
-verdict is exact; falling short proves nothing, and only enumeration (or a
-structural test) can then decide.  Placement verification uses the
-certificate first; ``identify`` still enumerates every path.
+measurement paths directly from spanning trees.  ``certify_full_rank``, the
+package's one full-rank decision, feeds them to the same reducer, then every
+measurement path not yet fed, under one row budget.  A full rank on some
+real rows is a full rank of the whole matrix, so the verdict is exact as soon
+as the rank reaches the number of links; it is short only once every
+measurement path has gone in.  Placement verification uses the certificate;
+``identify`` still enumerates every path.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ from .graph import (
 )
 
 DEFAULT_PATH_CAP = 100000
+
+# the rows that decided a ``certify_full_rank`` verdict
+CONSTRUCTED_PATHS = "constructed paths"
+PATH_ENUMERATION = "path enumeration"
 
 
 class MeasurementMatrix(NamedTuple):
@@ -386,30 +391,50 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
             return
 
 
-def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> tuple[bool, int]:
-    """Stream ``constructed_paths`` into the exact reducer until its rank
-    reaches the number of links.
+def _measurement_stream(g: Graph, monitors: MonitorSet) -> Iterator[tuple[Path, str]]:
+    """Each measurement path once, with the evidence it gives: the
+    constructed paths, then, per monitor pair a < b, the paths from a to b
+    that avoid the other monitors and were not constructed.  Both phases
+    orient a path from a to b, so a constructed path is skipped by value."""
+    fed = set()
+    for p in constructed_paths(g, monitors):
+        fed.add(p)
+        yield p, CONSTRUCTED_PATHS
+    ms = sorted(monitors)
+    for a, b in combinations(ms, 2):
+        for p in iter_simple_paths(g, a, b, frozenset(ms) - {a, b}):
+            if p not in fed:
+                yield p, PATH_ENUMERATION
 
-    Returns (True, rows fed) at that point: full rank on some real
-    measurement rows is full rank of the whole path matrix, so every link is
-    identifiable, and the proof is in integer arithmetic.  Returns (False,
-    rows fed) when the construction ends first, which is no evidence either
-    way.  Rows count against the cap: PathExplosionError when one more row
-    than ``cap`` would be needed, ValueError when ``cap`` is not positive."""
+
+def certify_full_rank(
+    g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
+) -> tuple[bool | None, str | None]:
+    """Whether every link is identifiable, and the rows that decided it.
+
+    Feeds the constructed paths to the exact reducer, then every measurement
+    path not already fed, until the rank reaches the number of links.  Full
+    rank on some real measurement rows is full rank of the whole path
+    matrix, and the proof is in integer arithmetic.  Returns (True,
+    "constructed paths" or "path enumeration", whichever phase fed the last
+    row), or (False, "path enumeration") once every measurement path has
+    gone in short of full rank.  Each row fed counts against ``cap``: (None,
+    None) when ``cap`` rows went in before either verdict.  ValueError when
+    ``cap`` is not positive."""
     if cap < 1:
         raise ValueError("cap must be positive")
     cols = tuple(g.sorted_edges())
     index = _column_index(cols)
     red = _Reducer(len(cols))
     rows = 0
-    for p in constructed_paths(g, monitors):
+    for p, evidence in _measurement_stream(g, monitors):
         if rows == cap:
-            raise PathExplosionError(cap)
+            return None, None
         rows += 1
         red.add(_row(p, index, len(cols)))
         if red.rank == len(cols):
-            return True, rows
-    return False, rows
+            return True, evidence
+    return False, PATH_ENUMERATION
 
 
 def simulate(

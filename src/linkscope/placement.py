@@ -24,27 +24,14 @@ from .decomposition import (
     biconnected_components,
     triconnected_components,
 )
-from .errors import (
-    DisconnectedError,
-    InfeasibleStageError,
-    PathExplosionError,
-    TooSmallError,
-)
+from .errors import DisconnectedError, InfeasibleStageError, TooSmallError
 from .graph import Graph, MonitorSet, is_connected
-from .identifiability import (
-    DEFAULT_PATH_CAP,
-    build_matrix,
-    certify_full_rank,
-    enumerate_monitor_paths,
-    identifiable_links,
-)
+from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
 from .tomography import extend
 
 
-# the check that decided a verdict, as ``verify_placement`` reports it
+# the check that decided a False verdict before any rank was taken
 EXTENDED_GRAPH = "extended graph"
-CONSTRUCTED_PATHS = "constructed paths"
-PATH_ENUMERATION = "path enumeration"
 
 
 class TriStageRecord(NamedTuple):
@@ -160,13 +147,10 @@ def verify_placement(
     enumeration".
 
     False when the extended graph is not 3-vertex-connected (or there are
-    fewer than three monitors).  Otherwise the exact rank oracle decides.
-    It first feeds paths built from spanning trees (``certify_full_rank``)
-    to the reducer, and reaching rank |E| proves True.  Only when the built
-    paths fall short are all paths enumerated, and the rank of that matrix
-    gives True or False.  The built rows count against ``cap``, which bounds
-    both steps together.  (None, None) means the cap stopped the rank
-    oracle before either step decided, so it gave no evidence either way."""
+    fewer than three monitors).  Otherwise the exact rank certificate
+    (``certify_full_rank``) decides, feeding at most ``cap`` rows; (None,
+    None) means it fed ``cap`` rows before the rank was decided, so it gave
+    no evidence either way."""
     monitors = trace.monitors
     if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
         # the two added nodes of the extended graph have fewer than three
@@ -174,13 +158,4 @@ def verify_placement(
         return False, EXTENDED_GRAPH
     if not is_k_vertex_connected(extend(g, monitors).graph, 3):
         return False, EXTENDED_GRAPH
-    try:
-        proved, used = certify_full_rank(g, monitors, cap)
-        if proved:
-            return True, CONSTRUCTED_PATHS
-        if used == cap:
-            return None, None
-        paths = enumerate_monitor_paths(g, monitors, cap - used)
-    except PathExplosionError:
-        return None, None
-    return identifiable_links(build_matrix(g, paths)).fully_identifiable, PATH_ENUMERATION
+    return certify_full_rank(g, monitors, cap)

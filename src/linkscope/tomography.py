@@ -1,4 +1,4 @@
-"""Monitor-aware constructs: interior graph, extended graph, and the
+"""Monitor-aware constructs: interior links, the extended graph, and the
 connectivity conditions that govern identifiability.
 
 The two-monitor conditions are:
@@ -25,34 +25,16 @@ from .graph import (
     MonitorSet,
     add_edge,
     edge,
-    is_connected,
     reachable,
-    remove_node,
     validate_monitor_pair,
     validate_monitors,
 )
-
-
-class InteriorGraph(NamedTuple):
-    """What remains after deleting both monitors, plus the cut-off links."""
-
-    graph: Graph
-    exterior_links: frozenset[Edge]
-    connected: bool
 
 
 class ExtendedGraph(NamedTuple):
     graph: Graph
     virtual_1: int
     virtual_2: int
-
-
-def interior_graph(g: Graph, monitors: MonitorSet) -> InteriorGraph:
-    """Delete the two monitors; links incident to either become exterior."""
-    m1, m2 = validate_monitor_pair(g, monitors)
-    interior = remove_node(remove_node(g, m1), m2)
-    exterior = frozenset(e for e in g.edges if m1 in e or m2 in e)
-    return InteriorGraph(interior, exterior, is_connected(interior))
 
 
 def interior_links(g: Graph, monitors: MonitorSet) -> frozenset[Edge]:

@@ -1,8 +1,46 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+from typing import Iterator
+
 import pytest
 
-from linkscope.graph import Graph
+from linkscope.graph import Graph, is_connected
+
+MAX_EXHAUSTIVE_NODES = 7
+
+
+def all_connected_graphs(n: int) -> Iterator[Graph]:
+    """Every connected simple graph on the labeled nodes 1..n, in edge-mask
+    order.  Capped at 7 nodes (2^21 candidate graphs)."""
+    if not 1 <= n <= MAX_EXHAUSTIVE_NODES:
+        raise ValueError(f"n must be between 1 and {MAX_EXHAUSTIVE_NODES}")
+    nodes = list(range(1, n + 1))
+    slots = list(combinations(nodes, 2))
+    for mask in range(1 << len(slots)):
+        edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
+        g = Graph(nodes, edges)
+        if is_connected(g):
+            yield g
+
+
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    """Seeded G(n, p) rejection-sampled until connected.  The effective edge
+    probability is floored at 2/n so sampling terminates quickly."""
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
+    if not 0 < edge_prob <= 1:
+        raise ValueError("edge_prob must be in (0, 1]")
+    p = max(edge_prob, 2.0 / n)
+    rng = random.Random(seed)
+    nodes = list(range(1, n + 1))
+    slots = list(combinations(nodes, 2))
+    while True:
+        edges = [e for e in slots if rng.random() < p]
+        g = Graph(nodes, edges)
+        if is_connected(g):
+            return g
 
 
 def k_n(n: int, start: int = 1) -> Graph:

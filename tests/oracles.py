@@ -19,7 +19,6 @@ from linkscope.graph import (
     is_connected,
     iter_simple_paths,
     reachable,
-    remove_node,
     validate_monitor_pair,
 )
 from linkscope.identifiability import (
@@ -36,7 +35,9 @@ def brute_bridges(g: Graph) -> frozenset:
 
 
 def brute_cut_vertices(g: Graph) -> frozenset:
-    return frozenset(v for v in g.nodes if not is_connected(remove_node(g, v)))
+    return frozenset(
+        v for v in g.nodes if not is_connected(Graph(g.nodes - {v}, [e for e in g.edges if v not in e]))
+    )
 
 
 def brute_blocks(g: Graph) -> list[frozenset]:
@@ -123,9 +124,7 @@ def _brute_nonseparating(g: Graph, cycle: tuple, monitors) -> bool:
     on = set(cycle)
     if sum(1 for u, x in g.edges if u in on and x in on) != len(cycle):
         return False
-    rest = g
-    for u in cycle:
-        rest = remove_node(rest, u)
+    rest = Graph(g.nodes - on, [(u, x) for u, x in g.edges if u not in on and x not in on])
     seen = {m for m in monitors if m not in on}
     todo = list(seen)
     while todo:

@@ -25,10 +25,10 @@ from random import Random
 
 import pytest
 
-from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
+from linkscope.corpus import named_fixtures
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.errors import PathExplosionError
-from linkscope.graph import Graph, cycle_edges, edge
+from linkscope.graph import Graph, cycle_edges, edge, is_connected
 from linkscope.identifiability import (
     MetricAssignment,
     build_matrix,
@@ -41,7 +41,6 @@ from linkscope.placement import mmp, verify_placement
 from linkscope.tomography import (
     condition_1,
     condition_2,
-    interior_graph,
     interior_links,
     prop2_characterization,
     prop5_both_sides,
@@ -55,6 +54,7 @@ from linkscope.witness import (
     is_nonseparating_cycle,
 )
 
+from .conftest import all_connected_graphs, random_connected_graph
 from .oracles import check_lemma1, minimality_probe, reference_split_components
 
 SCAN_CAP = 100000
@@ -125,7 +125,7 @@ def _instance_worker(batch: list[tuple[tuple, tuple[int, int]]]) -> dict:
         # the interior identifiable while breaking 3-connectivity)
         if (
             g.node_count >= 4
-            and interior_graph(g, pair).connected
+            and is_connected(Graph(g.nodes - set(pair), interior))
             and interior <= report.identifiable
         ):
             out["prop1_checked"] += 1

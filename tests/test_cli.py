@@ -17,11 +17,10 @@ from hypothesis import given, settings, strategies as st
 import linkscope
 from linkscope import cli, identifiability, witness
 from linkscope.cli import main
-from linkscope.corpus import random_connected_graph
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.graph import parse_graph, serialize
 
-from .conftest import STALL_EDGES, k_n
+from .conftest import STALL_EDGES, k_n, random_connected_graph
 
 
 @pytest.fixture
@@ -148,6 +147,26 @@ class TestPlace:
         assert code == 0
         assert report["verified"] is True
         assert report["evidence"] == "constructed paths"
+
+    def test_enumeration_finishes_what_the_constructed_rows_leave(self, capsys, tmp_path, monkeypatch):
+        # mmp places 1, 5 and 8 on this graph; the extended graph is
+        # 3-connected, and the constructed rows stop short of rank 16, so
+        # the measurement paths not yet fed decide, under the same cap
+        links = "1-5 1-6 1-11 2-3 2-6 2-9 3-4 3-9 4-7 4-10 5-7 6-8 6-10 7-9 7-11 10-11"
+        p = tmp_path / "g11.txt"
+        p.write_text("nodes: 11\n" + "".join(link.replace("-", " ") + "\n" for link in links.split()))
+        for cap in (None, "36", "35"):
+            if cap is None:
+                monkeypatch.delenv("LINKSCOPE_PATH_CAP", raising=False)
+            else:
+                monkeypatch.setenv("LINKSCOPE_PATH_CAP", cap)
+            code, report = run(capsys, ["place", str(p)])
+            assert code == 0
+            assert report["monitors"] == [1, 5, 8]
+            if cap == "35":
+                assert (report["verified"], report["evidence"]) == (None, None)
+            else:
+                assert (report["verified"], report["evidence"]) == (True, "path enumeration")
 
     def test_decomposition_matches_fresh_decomposition(self, capsys, tmp_path):
         for seed in range(4):
@@ -614,7 +633,7 @@ class TestCorpusDump:
     def test_to_file(self, capsys, tmp_path):
         out = tmp_path / "fixture.txt"
         assert main(["corpus", "dump", "k4_m12", "--out", str(out)]) == 0
-        assert parse_graph(out.read_text()).edge_count == 6
+        assert len(parse_graph(out.read_text()).edges) == 6
 
     def test_unknown_fixture(self, capsys):
         assert main(["corpus", "dump", "no_such_fixture"]) == 3

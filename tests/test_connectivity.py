@@ -9,11 +9,10 @@ from linkscope.connectivity import (
     is_k_vertex_connected,
     vertex_connectivity,
 )
-from linkscope.corpus import all_connected_graphs, random_connected_graph
 from linkscope.errors import DisconnectedError
 from linkscope.graph import Graph, add_edge
 
-from .conftest import c_n, k_n, path_n
+from .conftest import all_connected_graphs, c_n, k_n, path_n, random_connected_graph
 from .oracles import (
     brute_bridges,
     brute_cut_vertices,

@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 
 from linkscope.connectivity import bridges
-from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
+from linkscope.corpus import named_fixtures
 from linkscope.graph import is_connected
 from linkscope.tomography import validate_monitors
 
-from .conftest import k_n
+from .conftest import all_connected_graphs, k_n, random_connected_graph
 
 
 class TestExhaustive:
@@ -61,7 +61,7 @@ class TestFixtures:
     def test_fig1a_shape(self):
         g, monitors = named_fixtures()["fig1a_bridge"]
         assert g.node_count == 8
-        assert g.edge_count == 9
+        assert len(g.edges) == 9
         assert (4, 5) in bridges(g)
         m1, m2 = monitors
         # monitors on opposite sides of the bridge

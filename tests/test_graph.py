@@ -22,7 +22,6 @@ from linkscope.graph import (
     is_simple_path,
     iter_simple_paths,
     parse_graph,
-    remove_node,
     serialize,
     sorted_neighbours,
 )
@@ -123,26 +122,12 @@ class TestMutators:
         g = add_edge(c4, 1, 3)
         assert g.edges == c4.edges | {(1, 3)}
 
-    def test_remove_node_k4(self, k4):
-        assert remove_node(k4, 4) == k_n(3)
-
-    def test_remove_node_star_center(self):
-        star = Graph(edges=[(4, 1), (4, 2), (4, 3)])
-        g = remove_node(star, 4)
-        assert g.nodes == {1, 2, 3}
-        assert g.edges == frozenset()
-
-    def test_remove_node_missing(self, k4):
-        with pytest.raises(NotFoundError):
-            remove_node(k4, 9)
-
     def test_remove_then_add_is_identity(self, k4):
         assert add_edge(Graph(k4.nodes, k4.edges - {(1, 2)}), 1, 2) == k4
 
     def test_mutation_does_not_alias(self, c4):
         before = set(c4.edges)
         add_edge(c4, 1, 3)
-        remove_node(c4, 3)
         assert set(c4.edges) == before
 
     def test_graph_is_immutable(self, k4):
@@ -168,7 +153,8 @@ class TestMutators:
         assert nbrs == {1: (2, 3, 4), 2: (1, 3, 4), 3: (1, 2, 4), 4: (1, 2, 3)}
         opened = Graph(k4.nodes, k4.edges - {(1, 2)})
         sorted_neighbours(opened)
-        for parent, child in ((k4, remove_node(k4, 4)), (opened, add_edge(opened, 1, 2))):
+        dropped = Graph(k4.nodes - {4}, [e for e in k4.edges if 4 not in e])
+        for parent, child in ((k4, dropped), (opened, add_edge(opened, 1, 2))):
             assert not hasattr(child, "_nbrs")
             assert sorted_neighbours(child) is not sorted_neighbours(parent)
             assert sorted_neighbours(child) == {v: tuple(sorted(ns)) for v, ns in child.adj.items()}

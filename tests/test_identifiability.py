@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkscope.connectivity import is_k_vertex_connected
-from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
+from linkscope.corpus import named_fixtures
 from linkscope.errors import (
     InconsistentMeasurementsError,
     InvalidPathError,
@@ -30,7 +30,7 @@ from linkscope.identifiability import (
     simulate,
 )
 
-from .conftest import path_n
+from .conftest import all_connected_graphs, path_n, random_connected_graph
 from .oracles import (
     adjacent_links,
     check_lemma1,
@@ -71,17 +71,20 @@ class TestConstructedPaths:
     def test_k4_three_monitors(self, k4):
         paths = list(constructed_paths(k4, (3, 1, 2)))
         assert sorted(paths) == sorted(enumerate_monitor_paths(k4, (1, 2, 3)))
-        proved, rows = certify_full_rank(k4, (1, 2, 3))
-        assert proved and rows == 6
+        assert certify_full_rank(k4, (1, 2, 3)) == (True, "constructed paths")
 
-    def test_shortfall_is_no_verdict(self, triangle):
-        # two monitors never identify the far link; the construction ends
-        assert certify_full_rank(triangle, (1, 2)) == (False, 2)
+    def test_shortfall_goes_on_to_enumeration(self, triangle):
+        # two monitors never identify the far link: the construction ends
+        # short, and once the enumeration finds no path it has not fed, the
+        # shortfall is a verdict
+        assert sorted(constructed_paths(triangle, (1, 2))) == enumerate_monitor_paths(triangle, (1, 2))
+        assert certify_full_rank(triangle, (1, 2)) == (False, "path enumeration")
+        assert certify_full_rank(triangle, (1, 2), cap=2) == (False, "path enumeration")
 
     def test_rows_count_against_cap(self, k4):
-        with pytest.raises(PathExplosionError):
-            certify_full_rank(k4, (1, 2, 3), cap=5)
-        assert certify_full_rank(k4, (1, 2, 3), cap=6) == (True, 6)
+        # K4 with monitors 1, 2 and 3 needs all six constructed rows
+        assert certify_full_rank(k4, (1, 2, 3), cap=5) == (None, None)
+        assert certify_full_rank(k4, (1, 2, 3), cap=6) == (True, "constructed paths")
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_nonpositive_cap_rejected(self, k4, cap):
@@ -102,11 +105,13 @@ class TestConstructedPaths:
                     built = list(constructed_paths(g, ms))
                     assert len(set(built)) == len(built)
                     assert set(built) <= set(paths), (sorted(g.edges), ms)
-                    if certify_full_rank(g, ms)[0]:
+                    verdict, evidence = certify_full_rank(g, ms)
+                    assert verdict == identifiable_links(build_matrix(g, paths)).fully_identifiable
+                    if evidence == "constructed paths":
                         proved += 1
-                        assert identifiable_links(build_matrix(g, paths)).fully_identifiable
                     elif ms is placement:
-                        # complete where the sufficiency theorem applies
+                        # the construction alone is complete where the
+                        # sufficiency theorem applies
                         assert not is_k_vertex_connected(extend(g, ms).graph, 3), sorted(g.edges)
                 placements += 1
         assert placements == 27474
@@ -445,8 +450,8 @@ def test_report_properties_hold_on_arbitrary_instances(instance):
     report = identifiable_links(matrix)
     assert report.identifiable | report.unidentifiable == g.edges
     assert not report.identifiable & report.unidentifiable
-    assert report.rank <= min(len(matrix.rows), g.edge_count)
-    assert report.fully_identifiable == (report.rank == g.edge_count)
+    assert report.rank <= min(len(matrix.rows), len(g.edges))
+    assert report.fully_identifiable == (report.rank == len(g.edges))
     m1, m2 = monitors
     if g.has_edge(m1, m2):
         assert (min(m1, m2), max(m1, m2)) in report.identifiable

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import pytest
 
-from linkscope.corpus import all_connected_graphs, random_connected_graph
 from linkscope.errors import InconclusiveError, TooSmallError
 from linkscope.graph import Graph
-from linkscope import placement
+from linkscope import identifiability
 from linkscope.placement import PlacementTrace, mmp, verify_placement
 
-from .conftest import STALL_EDGES, c_n, path_n
+from .conftest import STALL_EDGES, all_connected_graphs, c_n, path_n, random_connected_graph
 from .oracles import minimality_probe
+
+# Nine nodes, 22 links.  With monitors 1, 2, 3, 4, 7 and 9 the extended graph
+# is 3-vertex-connected, yet the rows constructed from spanning trees stop
+# short of rank 22: the measurement paths not yet fed finish the certificate.
+G9_LINKS = [
+    (1, 4), (1, 5), (1, 7), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
+    (3, 4), (3, 6), (3, 9), (4, 5), (4, 6), (4, 9), (5, 6), (5, 9), (6, 7), (6, 8), (8, 9),
+]
 
 
 class TestMmpTraces:
@@ -104,21 +111,21 @@ class TestVerification:
         assert verify_placement(k4, trace._replace(monitors=(1, 2))) == (False, "extended graph")
         assert verify_placement(k4, trace, cap=1) == (None, None)
 
-    def test_enumeration_decides_when_constructed_paths_fall_short(self, k4, monkeypatch):
-        # K4 with monitors 1, 2, 3 has six measurement paths; three rows fed
-        # to a certificate that fell short leave cap - 3 for the enumeration
-        monkeypatch.setattr(placement, "certify_full_rank", lambda g, ms, cap: (False, 3))
-        assert verify_placement(k4, mmp(k4), cap=9) == (True, "path enumeration")
-        assert verify_placement(k4, mmp(k4), cap=8) == (None, None)
-        assert verify_placement(k4, mmp(k4), cap=3) == (None, None)
+    def test_enumeration_decides_when_constructed_paths_fall_short(self):
+        # the extended graph is 3-connected and the constructed rows fall
+        # short; the enumerated rows that finish the rank share their cap
+        g = Graph(range(1, 10), G9_LINKS)
+        trace = mmp(g)._replace(monitors=(1, 2, 3, 4, 7, 9))
+        assert verify_placement(g, trace, cap=50) == (True, "path enumeration")
+        assert verify_placement(g, trace, cap=49) == (None, None)
 
     def test_stalled_input_needs_no_enumeration(self, monkeypatch):
         def stall(*args, **kwargs):
             raise AssertionError("fell back to path enumeration")
 
-        monkeypatch.setattr(placement, "enumerate_monitor_paths", stall)
+        monkeypatch.setattr(identifiability, "iter_simple_paths", stall)
         g = Graph(range(1, 33), STALL_EDGES)
-        assert verify_placement(g, mmp(g), cap=2000)[0] is True
+        assert verify_placement(g, mmp(g), cap=2000) == (True, "constructed paths")
 
 
 class TestMinimality:

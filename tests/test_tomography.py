@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from linkscope.corpus import all_connected_graphs, named_fixtures, random_connected_graph
-from linkscope.errors import NotFoundError, TooFewMonitorsError
-from linkscope.graph import Graph, add_edge, remove_node
+from linkscope.cli import main
+from linkscope.corpus import named_fixtures
+from linkscope.errors import TooFewMonitorsError
+from linkscope.graph import Graph, add_edge, serialize
 from linkscope.tomography import (
     condition_1,
     condition_2,
     extend,
-    interior_graph,
     interior_links,
     prop2_characterization,
     prop5_both_sides,
@@ -17,37 +19,46 @@ from linkscope.tomography import (
     validate_monitors,
 )
 
-from .conftest import c_n, path_n
+from .conftest import all_connected_graphs, c_n, path_n, random_connected_graph
 from .oracles import brute_is_k_edge_connected, brute_prop2, menger_is_k_vertex_connected
 
 
 class TestInteriorGraph:
-    def test_k4(self, k4):
-        ig = interior_graph(k4, (1, 2))
-        assert ig.graph.nodes == {3, 4}
-        assert ig.graph.edges == {(3, 4)}
-        assert ig.exterior_links == {(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)}
-        assert ig.connected
+    """The interior graph is what deleting both monitors leaves; ``check``
+    reports whether it is connected and which links the deletion cuts off."""
 
-    def test_triangle(self, triangle):
-        ig = interior_graph(triangle, (1, 2))
-        assert ig.graph.nodes == {3}
-        assert ig.graph.edges == frozenset()
-        assert ig.exterior_links == triangle.edges
+    @staticmethod
+    def check(g, monitors, tmp_path, capsys):
+        f = tmp_path / "g.txt"
+        f.write_text(serialize(g))
+        code = main(["check", str(f), "--monitors", ",".join(map(str, monitors))])
+        out = capsys.readouterr().out
+        return code, json.loads(out) if code == 0 else None
 
-    def test_c4_opposite_monitors(self, c4):
-        ig = interior_graph(c4, (1, 3))
-        assert ig.graph.nodes == {2, 4}
-        assert ig.graph.edges == frozenset()
-        assert not ig.connected
-        assert ig.exterior_links == c4.edges
+    def test_k4(self, k4, tmp_path, capsys):
+        code, report = self.check(k4, (1, 2), tmp_path, capsys)
+        assert code == 0
+        assert report["exterior_links"] == ["1-2", "1-3", "1-4", "2-3", "2-4"]
+        assert report["interior_connected"] is True
 
-    def test_monitor_validation(self, k4):
-        with pytest.raises(NotFoundError):
-            interior_graph(k4, (1, 9))
+    def test_triangle(self, triangle, tmp_path, capsys):
+        _, report = self.check(triangle, (1, 2), tmp_path, capsys)
+        assert report["exterior_links"] == ["1-2", "1-3", "2-3"]
+        assert report["interior_connected"] is True
+        # an interior with no nodes counts as connected
+        _, report = self.check(path_n(2), (1, 2), tmp_path, capsys)
+        assert report["exterior_links"] == ["1-2"]
+        assert report["interior_connected"] is True
+
+    def test_c4_opposite_monitors(self, c4, tmp_path, capsys):
+        _, report = self.check(c4, (1, 3), tmp_path, capsys)
+        assert report["interior_connected"] is False
+        assert report["exterior_links"] == ["1-2", "1-4", "2-3", "3-4"]
+
+    def test_monitor_validation(self, k4, tmp_path, capsys):
+        assert self.check(k4, (1, 9), tmp_path, capsys)[0] == 3
         with pytest.raises(ValueError):
             validate_monitors(k4, (1, 1))
-
 
 class TestConditions:
     def test_condition_1_k4(self, k4):
@@ -123,7 +134,7 @@ class TestExtendedGraph:
     def test_k4_extension_counts(self, k4):
         ext = extend(k4, (1, 2, 3))
         assert ext.graph.node_count == 6
-        assert ext.graph.edge_count == 12  # 6 real + 2 * 3 virtual
+        assert len(ext.graph.edges) == 12  # 6 real + 2 * 3 virtual
         assert ext.virtual_1 == 5 and ext.virtual_2 == 6
         assert not ext.graph.has_edge(ext.virtual_1, ext.virtual_2)
 
@@ -139,7 +150,9 @@ class TestExtendedGraph:
 
     def test_removing_virtuals_recovers_base(self, k4):
         ext = extend(k4, (1, 2, 3))
-        assert remove_node(remove_node(ext.graph, ext.virtual_1), ext.virtual_2) == k4
+        virtual = {ext.virtual_1, ext.virtual_2}
+        real = [e for e in ext.graph.edges if not virtual & set(e)]
+        assert Graph(ext.graph.nodes - virtual, real) == k4
 
 
 class TestExtendedEquivalences:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from linkscope.corpus import all_connected_graphs, named_fixtures
+from linkscope.corpus import named_fixtures
 from linkscope.errors import InvalidCycleError, NotFoundError, NotInteriorError, TooLargeError
 from linkscope.graph import Graph, cycle_edges
 from linkscope import graph, witness
@@ -21,7 +21,7 @@ from linkscope.witness import (
     is_nonseparating_cycle,
 )
 
-from .conftest import c_n, k_n
+from .conftest import all_connected_graphs, c_n, k_n
 from .oracles import brute_has_structure, reference_all_cycles, reference_cycles_through_edge
 
 
