@@ -1,8 +1,10 @@
 """Batch command-line front-end.
 
 Exit codes: 0 success, 2 file or parse problems, 3 violated preconditions,
-4 resource caps: the path cap, and measurements with more digits than the
-interpreter's limit for printing integers (checked before any reduction).
+4 resource caps: the path cap of ``identify``, and measurements with more
+digits than the interpreter's limit for printing integers (checked before any
+reduction).  ``place`` does not exit at the path cap: it reports
+``"verified": null``.
 All reports are JSON on stdout; edges render as "u-v" with u < v and
 rationals as exact "p/q" strings.
 """
@@ -27,7 +29,6 @@ from .errors import (
 from .graph import Graph, edge, parse_graph, reachable, serialize, validate_monitors
 from .identifiability import (
     DEFAULT_PATH_CAP,
-    MetricAssignment,
     build_matrix,
     enumerate_monitor_paths,
     identifiable_links,
@@ -79,7 +80,7 @@ def _parse_link(text: str):
         raise GraphParseError(f"malformed link {text!r}") from None
 
 
-def _load_weights(path: str, g: Graph) -> MetricAssignment:
+def _load_weights(path: str) -> dict:
     mapping = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -103,7 +104,7 @@ def _load_weights(path: str, g: Graph) -> MetricAssignment:
             if link in mapping:
                 raise DuplicateEdgeError(f"duplicate weight for link {u} {v}", lineno)
             mapping[link] = value
-    return MetricAssignment.for_graph(g, mapping)
+    return mapping
 
 
 def _default_cap() -> int:
@@ -222,8 +223,8 @@ def _cmd_identify(args) -> int:
     report: dict = {"monitors": list(monitors)}
     values = None
     if args.weights:
-        assignment = _load_weights(args.weights, g)
-        matrix, values = simulate(g, monitors, assignment, cap)
+        # simulate checks that the weights cover the graph and are positive
+        matrix, values = simulate(g, monitors, _load_weights(args.weights), cap)
         # str() refuses integers longer than the interpreter's digit limit;
         # check before the reduction (0, also on interpreters without a
         # limit, means unlimited)
@@ -273,6 +274,8 @@ def _cmd_witness(args) -> int:
         if cycle is not None:
             report["cycle"] = list(cycle)
     else:
+        if args.exclude_monitors:
+            raise ValueError("--exclude-monitors applies only to --kind nonsep")
         find = find_lemma3_witness if args.kind == "lemma3" else find_lemma4_witness
         w = find(g, link, monitors)
         report = {"kind": args.kind, "found": w is not None}

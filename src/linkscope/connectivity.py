@@ -16,6 +16,11 @@ deletions:
 * G is k-edge-connected exactly when G is connected and, for every set F
   of k - 2 edges, G - F has no bridge.
 
+`_separation` is the vertex rule's one scan: it returns the first set S that
+fails, with the least cut vertex of G - S.  At k = 3 on a biconnected piece
+that is the piece's lexicographically first separation pair, which the
+triconnected split reads.
+
 Proof sketch: a deletion of fewer than k members that disconnects G contains
 a minimal one, C.  Keep one member c of C and pad the rest of C up to k - 2
 members with nodes or edges that are not in C (for nodes, leaving a node on
@@ -132,6 +137,19 @@ def _without(
     return view
 
 
+def _separation(adj: Mapping[int, AbstractSet[int]], k: int) -> tuple[tuple[int, ...], int | None] | None:
+    """The first deletion that fails the vertex rule, or None: the first set
+    S of k - 2 nodes, in ascending combination order, such that G - S is not
+    one block of all its nodes, with the least cut vertex of G - S (None when
+    G - S has none)."""
+    one_block = [len(adj) - k + 2]
+    for s in combinations(sorted(adj), k - 2):
+        _, cuts, blocks = _lowpoint(_without(adj, s))
+        if [len(block) for block in blocks] != one_block:
+            return s, min(cuts, default=None)
+    return None
+
+
 def bridges(g: Graph) -> frozenset[Edge]:
     """Edges whose removal disconnects the (connected) graph."""
     _require_connected(g)
@@ -159,11 +177,7 @@ def is_k_vertex_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return is_connected(g)
-    one_block = [n - k + 2]
-    return all(
-        [len(block) for block in _lowpoint(_without(adj, s))[2]] == one_block
-        for s in combinations(g.sorted_nodes(), k - 2)
-    )
+    return _separation(adj, k) is None
 
 
 def is_k_edge_connected(g: Graph, k: int) -> bool:

@@ -15,7 +15,9 @@ unique, and the polygon merge closes any chain of cycle fragments back into
 the maximal polygon.  Each split takes the lexicographically first separation
 pair {a, b}: every piece is biconnected, so {a, b} separates it exactly when
 b is a cut vertex of piece - a, and the pair comes from the smallest a whose
-deletion leaves a cut vertex, with the smallest such b.  Blocks and their cut
+deletion leaves a cut vertex, with the smallest such b.  That is the first
+failing deletion of the 3-vertex-connectivity scan (`connectivity._separation`),
+so the split and the connectivity test read one scan.  Blocks and their cut
 vertices come from the same lowpoint pass (`connectivity._lowpoint`).
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connectivity import _lowpoint, _without
+from .connectivity import _lowpoint, _separation
 from .errors import DisconnectedError
 from .graph import Edge, Graph, edge, is_connected, reachable
 
@@ -78,18 +80,6 @@ def biconnected_components(g: Graph) -> list[BiconnectedComponent]:
 # triconnected splitting
 
 
-def _first_separation_pair(nodes: frozenset[int], adj: dict[int, set[int]]) -> tuple[int, int] | None:
-    """The lexicographically first 2-node cut of the (biconnected) piece."""
-    if len(nodes) < 4:
-        return None
-    for a in sorted(nodes):
-        cuts = _lowpoint(_without(adj, (a,)))[1]
-        if cuts:
-            # a smaller partner b would have been found at a = b already
-            return a, min(cuts)
-    return None
-
-
 def _piece_adj(nodes: frozenset[int], edges: set[Edge]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in nodes}
     for u, v in edges:
@@ -128,11 +118,11 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
     while work:
         nodes, real, virtual = work.pop()
         adj = _piece_adj(nodes, real | virtual)
-        pair = _first_separation_pair(nodes, adj)
-        if pair is None:
+        found = _separation(adj, 3)
+        if found is None:
             atoms.append((nodes, real, virtual))
             continue
-        a, bb = pair
+        (a,), bb = found
         pair_edge = edge(a, bb)
         if pair_edge in real:
             pending.add(pair_edge)

@@ -1,9 +1,9 @@
 """Immutable simple undirected graphs and the edge-list text format.
 
 Node ids are caller-supplied non-negative integers and are never renumbered:
-every result that cites a node must use the caller's own names.  All mutating
-operations return a fresh graph, so search code can fork thousands of variants
-without aliasing worries.
+every result that cites a node must use the caller's own names.  Graphs are
+immutable: a variant is a new Graph built from another's nodes and edges, so
+search code can fork thousands of variants without aliasing worries.
 
 A monitor set is a tuple of node ids, checked against its graph here, so
 the rank oracle and the witness searches need no connectivity conditions.
@@ -142,7 +142,7 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# construction / mutation operators
+# construction and the text format
 
 
 def parse_graph(text: str) -> Graph:
@@ -213,15 +213,6 @@ def serialize(g: Graph) -> str:
         lines.append(f"nodes: {n}")
     lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
     return "\n".join(lines) + "\n"
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if u not in g.nodes or v not in g.nodes:
-        raise NotFoundError(f"endpoint of ({u}, {v}) not in graph")
-    e = edge(u, v)
-    if e in g.edges:
-        raise DuplicateEdgeError(f"duplicate edge {u} {v}")
-    return Graph(g.nodes, g.edges | {e})
 
 
 def is_connected(g: Graph) -> bool:

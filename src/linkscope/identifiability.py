@@ -44,7 +44,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
-from typing import Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -74,31 +74,6 @@ class MeasurementMatrix(NamedTuple):
     paths: tuple[Path, ...]
     edge_index: tuple[Edge, ...]
     rows: tuple[tuple[int, ...], ...]
-
-
-class _MetricAssignmentFields(NamedTuple):
-    weights: dict[Edge, Fraction]
-
-
-class MetricAssignment(_MetricAssignmentFields):
-    """Strictly positive exact rational weight per graph edge."""
-
-    __slots__ = ()
-
-    def __new__(cls, weights: dict[Edge, Fraction]):
-        for e, w in weights.items():
-            if w <= 0:
-                raise ValueError(f"weight for edge {e} must be positive, got {w}")
-        return super().__new__(cls, weights)
-
-    @classmethod
-    def for_graph(cls, g: Graph, mapping: dict[Edge, Fraction | int]) -> "MetricAssignment":
-        weights = {edge(*e): Fraction(w) for e, w in mapping.items()}
-        missing = g.edges - set(weights)
-        extra = set(weights) - g.edges
-        if missing or extra:
-            raise ValueError(f"weights must cover exactly the graph edges (missing {sorted(missing)}, extra {sorted(extra)})")
-        return cls(weights)
 
 
 class IdentifiabilityReport(NamedTuple):
@@ -209,6 +184,14 @@ class _Reducer:
 # path enumeration and matrix construction
 
 
+def _pair_walks(g: Graph, monitors: MonitorSet) -> Iterator[Iterator[Path]]:
+    """Per monitor pair a < b, in ascending order, the walk over the paths
+    from a to b that avoid the other monitors, in lexicographic order."""
+    ms = sorted(monitors)
+    for a, b in combinations(ms, 2):
+        yield iter_simple_paths(g, a, b, frozenset(ms) - {a, b})
+
+
 def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
     """All measurement paths, deterministically ordered: per monitor pair
     (ascending), then by length, then lexicographically.  Each undirected
@@ -219,10 +202,9 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
     if cap < 1:
         raise ValueError("cap must be positive")
     out: list[Path] = []
-    for a, b in combinations(sorted(ms), 2):
-        forbidden = frozenset(ms) - {a, b}
+    for walk in _pair_walks(g, ms):
         found = []
-        for p in iter_simple_paths(g, a, b, forbidden_internal=forbidden):
+        for p in walk:
             found.append(p)
             if len(out) + len(found) > cap:
                 raise PathExplosionError(cap)
@@ -400,9 +382,8 @@ def _measurement_stream(g: Graph, monitors: MonitorSet) -> Iterator[tuple[Path, 
     for p in constructed_paths(g, monitors):
         fed.add(p)
         yield p, CONSTRUCTED_PATHS
-    ms = sorted(monitors)
-    for a, b in combinations(ms, 2):
-        for p in iter_simple_paths(g, a, b, frozenset(ms) - {a, b}):
+    for walk in _pair_walks(g, monitors):
+        for p in walk:
             if p not in fed:
                 yield p, PATH_ENUMERATION
 
@@ -440,17 +421,28 @@ def certify_full_rank(
 def simulate(
     g: Graph,
     monitors: MonitorSet,
-    assignment: MetricAssignment,
+    weights: Mapping[Edge, Fraction | int],
     cap: int = DEFAULT_PATH_CAP,
 ) -> tuple[MeasurementMatrix, tuple[Fraction, ...]]:
-    """Enumerate paths and produce their exact metric sums, one per row."""
-    MetricAssignment.for_graph(g, assignment.weights)  # recheck coverage
+    """Enumerate paths and produce their exact metric sums, one per row.
+
+    ``weights`` gives each link, in either orientation, a rational value.
+    Before any path is walked, the links must be exactly the graph's and
+    every value must be positive."""
+    weights = {edge(*e): Fraction(w) for e, w in weights.items()}
+    missing = g.edges - set(weights)
+    extra = set(weights) - g.edges
+    if missing or extra:
+        raise ValueError(f"weights must cover exactly the graph edges (missing {sorted(missing)}, extra {sorted(extra)})")
+    for e, w in weights.items():
+        if w <= 0:
+            raise ValueError(f"weight for edge {e} must be positive, got {w}")
     paths = enumerate_monitor_paths(g, monitors, cap)
     matrix = build_matrix(g, paths)
     # weights over their common denominator, so each path sum is an integer
-    scale = lcm(*(w.denominator for w in assignment.weights.values()))
+    scale = lcm(*(w.denominator for w in weights.values()))
     scaled = {}
-    for (u, v), w in assignment.weights.items():
+    for (u, v), w in weights.items():
         scaled[u, v] = scaled[v, u] = w.numerator * (scale // w.denominator)
     values = tuple(Fraction(sum(scaled[step] for step in zip(p, p[1:])), scale) for p in paths)
     return matrix, values

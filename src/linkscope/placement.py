@@ -24,8 +24,8 @@ from .decomposition import (
     biconnected_components,
     triconnected_components,
 )
-from .errors import DisconnectedError, InfeasibleStageError, TooSmallError
-from .graph import Graph, MonitorSet, is_connected
+from .errors import InfeasibleStageError, TooSmallError
+from .graph import Graph, MonitorSet
 from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
 from .tomography import extend
 
@@ -100,8 +100,6 @@ def mmp(g: Graph, seed: int | None = None) -> PlacementTrace:
     """Compute the monitor placement; see the module docstring for stages."""
     if g.node_count < 3:
         raise TooSmallError(f"placement needs at least 3 nodes, got {g.node_count}")
-    if not is_connected(g):
-        raise DisconnectedError("graph must be connected")
     choose = _chooser(seed)
     monitors: set[int] = {v for v in g.nodes if g.degree(v) < 3}
     stage1 = frozenset(monitors)
@@ -156,6 +154,6 @@ def verify_placement(
         # the two added nodes of the extended graph have fewer than three
         # neighbours
         return False, EXTENDED_GRAPH
-    if not is_k_vertex_connected(extend(g, monitors).graph, 3):
+    if not is_k_vertex_connected(extend(g, monitors), 3):
         return False, EXTENDED_GRAPH
     return certify_full_rank(g, monitors, cap)

@@ -16,25 +16,18 @@ two-monitor one.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, NamedTuple
+from typing import Collection
 
 from .connectivity import _lowpoint, _without, is_k_edge_connected, is_k_vertex_connected
 from .graph import (
     Edge,
     Graph,
     MonitorSet,
-    add_edge,
     edge,
     reachable,
     validate_monitor_pair,
     validate_monitors,
 )
-
-
-class ExtendedGraph(NamedTuple):
-    graph: Graph
-    virtual_1: int
-    virtual_2: int
 
 
 def interior_links(g: Graph, monitors: MonitorSet) -> frozenset[Edge]:
@@ -80,7 +73,7 @@ def condition_2(g: Graph, monitors: MonitorSet) -> bool:
         return False
     if any(len(ns) < 3 for v, ns in adj.items() if v != m1 and v != m2):
         return False
-    h = g if joined else add_edge(g, m1, m2)
+    h = g if joined else Graph(g.nodes, g.edges | {edge(m1, m2)})
     return is_k_vertex_connected(h, 3)
 
 
@@ -111,24 +104,25 @@ def prop2_characterization(g: Graph, monitors: MonitorSet) -> bool:
     return True
 
 
-def extend(g: Graph, monitors: MonitorSet) -> ExtendedGraph:
+def extend(g: Graph, monitors: MonitorSet) -> Graph:
     """Attach two fresh virtual monitors, each adjacent to every real monitor.
 
-    No edge is placed between the two virtual monitors themselves.
+    The virtual monitors are the two nodes of the result that are not in g.
+    No edge is placed between them.
     """
     ms = validate_monitors(g, monitors, minimum=3)
     v1 = max(g.nodes) + 1
     v2 = v1 + 1
     virtual = {edge(v, m) for v in (v1, v2) for m in ms}
-    return ExtendedGraph(Graph(g.nodes | {v1, v2}, g.edges | virtual), v1, v2)
+    return Graph(g.nodes | {v1, v2}, g.edges | virtual)
 
 
 def prop5_both_sides(g: Graph, monitors: MonitorSet) -> tuple[bool, bool]:
     """(each real link removable leaving 2-edge-connectivity,
     extended graph 3-edge-connected) -- asserted equal by theory."""
     ext = extend(g, monitors)
-    lhs = _each_removable(ext.graph, g.edges)
-    rhs = is_k_edge_connected(ext.graph, 3)
+    lhs = _each_removable(ext, g.edges)
+    rhs = is_k_edge_connected(ext, 3)
     return lhs, rhs
 
 
@@ -136,6 +130,7 @@ def prop6_both_sides(g: Graph, monitors: MonitorSet) -> tuple[bool, bool]:
     """(extended graph plus virtual-virtual edge 3-vertex-connected,
     extended graph 3-vertex-connected) -- asserted equal by theory."""
     ext = extend(g, monitors)
-    lhs = is_k_vertex_connected(add_edge(ext.graph, ext.virtual_1, ext.virtual_2), 3)
-    rhs = is_k_vertex_connected(ext.graph, 3)
+    joined = Graph(ext.nodes, ext.edges | {edge(*(ext.nodes - g.nodes))})
+    lhs = is_k_vertex_connected(joined, 3)
+    rhs = is_k_vertex_connected(ext, 3)
     return lhs, rhs

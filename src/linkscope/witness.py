@@ -14,13 +14,14 @@ cycle table past a million cycles as its walk reaches that count.
 Every cycle comes from the graph's cycle table (graph._cycle_table): the
 cycles of a graph are walked once, on the first query, and each search over
 one of its links reads that link's entry.  all_cycles and
-cycles_through_edge hand out fresh copies of the table's lists.  Attachment
+cycles_through_edge hand out fresh copies of the table's lists; the searches
+whose link is already checked read the entry itself.  Attachment
 paths are read off graph.iter_simple_paths: a path to one target with the
 other targets blocked.
 
 Arguments are validated once, at the public entry points.  The cycles a
-search takes from cycles_through_edge are valid by construction, so they go
-to the private checks without being validated again.  find_lemma3_witness
+search takes from the table are valid by construction, so they go to the
+private checks without being validated again.  find_lemma3_witness
 and is_case_b_link read one walk over the Lemma 3 structures, _structures:
 the first builds the second attachment path, the second only asks whether
 it exists.
@@ -251,7 +252,7 @@ def _structures(
     cause a self-intersection."""
     v, w = link
     m1, m2 = pair
-    candidates = cycles_through_edge(g, link)
+    candidates = _cycle_table(g, CYCLE_GUARD)[1][link]
     for cyc_f in candidates:
         if not _nonseparating(g, cyc_f, pair):
             continue
@@ -314,7 +315,7 @@ def find_lemma4_witness(g: Graph, vw: Edge, monitors: MonitorSet) -> Lemma4Witne
     m1, m2 = validate_monitor_pair(g, monitors)
     link = _require_interior_link(g, vw, (m1, m2))
     v, w = link
-    for cyc in cycles_through_edge(g, link):
+    for cyc in _cycle_table(g, CYCLE_GUARD)[1][link]:
         if m1 in cyc or m2 in cyc:
             continue
         if not _nonseparating(g, cyc, (m1, m2)):

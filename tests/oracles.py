@@ -365,6 +365,18 @@ def _is_cycle_piece(nodes, edges) -> bool:
     return len(comp) == 1
 
 
+def first_separation_pair(nodes: frozenset, edges) -> tuple | None:
+    """The lexicographically first pair a < b whose deletion disconnects a
+    piece of at least four nodes; None when there is none."""
+    if len(nodes) < 4:
+        return None
+    adjacency = _adjacency(nodes, edges)
+    for a, b in combinations(sorted(nodes), 2):
+        if len(_components(nodes, adjacency, {a, b})) > 1:
+            return a, b
+    return None
+
+
 def reference_split_components(block_nodes: frozenset, block_edges: frozenset):
     """Canonical components as a sorted list of (nodes, real, virtual) tuples
     of frozensets.  Splits on the LAST separation pair in sorted order and

@@ -118,6 +118,12 @@ class TestPlace:
         p.write_text("1 2\n")
         assert main(["place", str(p)]) == 3
 
+    def test_disconnected(self, capsys, tmp_path):
+        p = tmp_path / "two.txt"
+        p.write_text("1 2\n2 3\n1 3\n4 5\n")
+        assert main(["place", str(p)]) == 3
+        assert capsys.readouterr().err == "error: graph must be connected\n"
+
     def test_verified_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
         _, report = run(capsys, ["place", k4_file])
         assert report["verified"] is True
@@ -514,6 +520,14 @@ class TestWitness:
             "path_to_v": [5, 2],
             "path_to_w": [4, 3],
         }
+
+    @pytest.mark.parametrize("kind", ["lemma3", "lemma4"])
+    def test_exclude_monitors_only_for_nonsep(self, capsys, k4_file, kind):
+        argv = ["witness", k4_file, "--monitors", "1,2", "--link", "3-4", "--kind", kind]
+        assert main([*argv, "--exclude-monitors"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --exclude-monitors applies only to --kind nonsep\n"
 
     def test_too_large(self, capsys, tmp_path):
         p = tmp_path / "big.txt"

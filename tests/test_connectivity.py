@@ -10,7 +10,7 @@ from linkscope.connectivity import (
     vertex_connectivity,
 )
 from linkscope.errors import DisconnectedError
-from linkscope.graph import Graph, add_edge
+from linkscope.graph import Graph
 
 from .conftest import all_connected_graphs, c_n, k_n, path_n, random_connected_graph
 from .oracles import (
@@ -63,7 +63,7 @@ class TestKConnectivity:
         assert not is_k_vertex_connected(c_n(5), 3)
 
     def test_c4_with_chord(self, c4):
-        g = add_edge(c4, 1, 3)
+        g = Graph(c4.nodes, c4.edges | {(1, 3)})
         assert not is_k_vertex_connected(g, 3)  # deleting {1,3} separates 2 from 4
 
     def test_edge_connectivity(self, c4, k4):

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from linkscope.connectivity import cut_vertices
+from linkscope.connectivity import _separation, cut_vertices
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.errors import DisconnectedError
 from linkscope.graph import Graph, is_connected
 
 from .conftest import all_connected_graphs, c_n, path_n, random_connected_graph
-from .oracles import brute_blocks, reference_split_components
+from .oracles import brute_blocks, first_separation_pair, reference_split_components
 
 
 def two_k4s_sharing_edge() -> Graph:
@@ -167,3 +167,25 @@ class TestInvariants:
                 pairs = comp.virtual_edges | (comp.real_edges & sibling_virtual)
                 expect = (cuts & comp.nodes) | {v for e in pairs for v in e}
                 assert comp.separation_vertices == expect
+
+
+class TestSplitPair:
+    def test_scan_pair_is_the_first_separation_pair(self):
+        """The split takes its pair from the 3-connectivity scan.  On every
+        block of the corpus (all connected graphs on 3-6 nodes) and of 100
+        seeded graphs on 7-10 nodes, that pair is the lexicographically first
+        separation pair, as before the split read the scan."""
+        graphs = [g for n in range(3, 7) for g in all_connected_graphs(n)]
+        graphs += [random_connected_graph(7 + s % 4, 0.35, 300 + s) for s in range(100)]
+        blocks = pairs = 0
+        for g in graphs:
+            for block in biconnected_components(g):
+                if len(block.nodes) < 3:
+                    continue
+                blocks += 1
+                found = _separation({v: g.adj[v] & block.nodes for v in block.nodes}, 3)
+                got = None if found is None else (*found[0], found[1])
+                want = first_separation_pair(block.nodes, block.edges)
+                assert got == want, sorted(block.edges)
+                pairs += want is not None
+        assert (blocks, pairs) == (27294, 20230)

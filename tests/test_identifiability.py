@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkscope import identifiability
 from linkscope.connectivity import is_k_vertex_connected
 from linkscope.corpus import named_fixtures
 from linkscope.errors import (
@@ -19,7 +20,6 @@ from linkscope.graph import Graph
 from linkscope.placement import mmp
 from linkscope.tomography import extend
 from linkscope.identifiability import (
-    MetricAssignment,
     build_matrix,
     certify_full_rank,
     constructed_paths,
@@ -112,7 +112,7 @@ class TestConstructedPaths:
                     elif ms is placement:
                         # the construction alone is complete where the
                         # sufficiency theorem applies
-                        assert not is_k_vertex_connected(extend(g, ms).graph, 3), sorted(g.edges)
+                        assert not is_k_vertex_connected(extend(g, ms), 3), sorted(g.edges)
                 placements += 1
         assert placements == 27474
         assert proved > placements
@@ -197,28 +197,51 @@ class TestIdentifiableLinks:
 
 class TestSimulateRecover:
     def test_triangle_values(self, triangle):
-        w = MetricAssignment.for_graph(triangle, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
+        w = {(1, 2): 1, (1, 3): 2, (2, 3): 3}
         matrix, values = simulate(triangle, (1, 2), w)
         assert values == (Fraction(1), Fraction(5))
         assert recover(matrix, values)[1] == {(1, 2): Fraction(1)}
 
     def test_k4_all_ones(self, k4):
-        w = MetricAssignment.for_graph(k4, {e: 1 for e in k4.edges})
+        w = {e: 1 for e in k4.edges}
         matrix, values = simulate(k4, (1, 2), w)
         assert values == (Fraction(1), Fraction(2), Fraction(2), Fraction(3), Fraction(3))
         assert recover(matrix, values)[1] == {(1, 2): Fraction(1), (3, 4): Fraction(1)}
 
-    def test_nonpositive_weight_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            MetricAssignment.for_graph(triangle, {(1, 2): 0, (1, 3): 2, (2, 3): 3})
+    # simulate checks a plain mapping before it walks any path: a stub walk
+    # shows that none ran
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("paths walked before the weights were checked")
 
-    def test_direct_construction_checks_weights(self):
-        with pytest.raises(ValueError):
-            MetricAssignment({(1, 2): Fraction(0)})
+        monkeypatch.setattr(identifiability, "enumerate_monitor_paths", walk)
 
-    def test_coverage_enforced(self, triangle):
-        with pytest.raises(ValueError):
-            MetricAssignment.for_graph(triangle, {(1, 2): 1})
+    def test_nonpositive_weight_rejected(self, triangle, no_walk):
+        with pytest.raises(ValueError, match=r"^weight for edge \(1, 2\) must be positive, got 0$"):
+            simulate(triangle, (1, 2), {(1, 2): 0, (1, 3): 2, (2, 3): 3})
+
+    def test_direct_construction_checks_weights(self, triangle, no_walk):
+        with pytest.raises(ValueError, match=r"^weight for edge \(2, 3\) must be positive, got -1/2$"):
+            simulate(triangle, (1, 2), {(1, 2): 1, (1, 3): 2, (3, 2): Fraction(-1, 2)})
+
+    def test_coverage_enforced(self, triangle, no_walk):
+        with pytest.raises(ValueError, match=r"\(missing \[\(1, 3\), \(2, 3\)\], extra \[\]\)$"):
+            simulate(triangle, (1, 2), {(1, 2): 1})
+
+    def test_extra_link_rejected(self, triangle, no_walk):
+        weights = {(1, 2): 1, (1, 3): 2, (2, 3): 3, (3, 4): 1}
+        with pytest.raises(ValueError, match=r"\(missing \[\], extra \[\(3, 4\)\]\)$"):
+            simulate(triangle, (1, 2), weights)
+
+    def test_coverage_checked_before_positivity(self, triangle, no_walk):
+        with pytest.raises(ValueError, match="cover exactly"):
+            simulate(triangle, (1, 2), {(1, 2): 0})
+
+    def test_reversed_link_accepted(self, triangle):
+        matrix, values = simulate(triangle, (1, 2), {(2, 1): 1, (3, 1): 2, (3, 2): Fraction(3, 2)})
+        assert values == (Fraction(1), Fraction(7, 2))
+        assert recover(matrix, values)[1] == {(1, 2): Fraction(1)}
 
     def test_inconsistent_vector(self, triangle):
         matrix = build_matrix(
@@ -234,16 +257,14 @@ class TestSimulateRecover:
         for trial in range(30):
             g = random_connected_graph(5 + trial % 3, 0.5, 500 + trial)
             monitors = tuple(sorted(g.nodes)[:2])
-            w = MetricAssignment.for_graph(
-                g, {e: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for e in g.edges}
-            )
+            w = {e: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for e in g.edges}
             matrix, values = simulate(g, monitors, w)
             verdict, got = recover(matrix, values)
             report = identifiable_links(matrix)
             assert verdict == report
             assert set(got) == set(report.identifiable)
             for e, value in got.items():
-                assert value == w.weights[e]
+                assert value == w[e]
             # a non-integer error on a path the other paths span contradicts them
             rows = matrix.rows
             spanned = (i for i in reversed(range(len(rows))) if fraction_rank(rows[:i] + rows[i + 1 :]) == report.rank)
@@ -368,24 +389,22 @@ class TestSimulateOracle:
     # than their product and each path sum's fraction must be reduced
     DENOMINATORS = (1, 2, 3, 4, 6, 8, 9, 12, 18, 36, 7, 14, 49)
 
-    def _weights(self, g, rng) -> MetricAssignment:
-        return MetricAssignment.for_graph(
-            g, {e: Fraction(rng.randint(1, 99), rng.choice(self.DENOMINATORS)) for e in g.edges}
-        )
+    def _weights(self, g, rng) -> dict:
+        return {e: Fraction(rng.randint(1, 99), rng.choice(self.DENOMINATORS)) for e in g.edges}
 
     def test_small_instances(self):
         rng = random.Random(8)
         for g, pair in _small_two_monitor_instances():
             w = self._weights(g, rng)
             matrix, values = simulate(g, pair, w)
-            assert values == reference_path_sums(matrix.paths, w.weights)
+            assert values == reference_path_sums(matrix.paths, w)
 
     def test_identify_sized_instances(self):
         rng = random.Random(9)
         for g, monitors in _identify_sized_instances():
             w = self._weights(g, rng)
             matrix, values = simulate(g, monitors, w)
-            assert values == reference_path_sums(matrix.paths, w.weights)
+            assert values == reference_path_sums(matrix.paths, w)
             assert all(type(x) is Fraction for x in values)
 
 

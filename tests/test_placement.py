@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from linkscope.errors import InconclusiveError, TooSmallError
+from linkscope.errors import DisconnectedError, InconclusiveError, TooSmallError
 from linkscope.graph import Graph
 from linkscope import identifiability
 from linkscope.placement import PlacementTrace, mmp, verify_placement
@@ -55,6 +55,11 @@ class TestMmpTraces:
     def test_too_small(self):
         with pytest.raises(TooSmallError):
             mmp(Graph(edges=[(1, 2)]))
+
+    def test_disconnected_rejected(self):
+        # the block decomposition is the one connectivity check
+        with pytest.raises(DisconnectedError, match="^graph must be connected$"):
+            mmp(Graph(edges=[(1, 2), (2, 3), (1, 3), (4, 5)]))
 
     def test_deterministic(self, k4):
         assert mmp(k4) == mmp(k4)
