@@ -255,7 +255,7 @@ def _cmd_identify(args) -> int:
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
             for i, path in enumerate(matrix.paths):
-                row = "".join(str(x) for x in matrix.rows[i])
+                row = "".join("1" if c in matrix.rows[i] else "0" for c in range(len(matrix.edge_index)))
                 value = str(values[i]) if values is not None else ""
                 fh.write(f"{','.join(str(v) for v in path)} ; {row} ; {value}\n")
     _emit(report)

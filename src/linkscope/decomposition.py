@@ -104,11 +104,14 @@ def _comp_key(piece: tuple[frozenset[int], set[Edge], set[Edge]]):
 
 
 def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[TriconnectedComponent]:
-    """Canonical triconnected components of a block with at least 3 nodes."""
+    """Canonical triconnected components of a block with at least 3 nodes.
+    ValueError unless the block is one biconnected piece of ``g``."""
     if len(b.nodes) < 3:
         raise ValueError("triconnected decomposition needs a block of >= 3 nodes")
     if not b.edges <= g.edges or not b.nodes <= g.nodes:
         raise ValueError("component does not belong to the given graph")
+    if [len(block) for block in _lowpoint(_piece_adj(b.nodes, b.edges))[2]] != [len(b.nodes)]:
+        raise ValueError("component is not biconnected")
 
     pending: set[Edge] = set()  # pair edges of the graph, awaiting assignment
     atoms: list[tuple[frozenset[int], set[Edge], set[Edge]]] = []

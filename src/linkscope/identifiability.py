@@ -2,25 +2,27 @@
 
 Measurements are sums of link metrics along simple paths between monitors.
 A link metric is identifiable exactly when its unit coordinate vector lies in
-the row space of the 0/1 path-edge incidence matrix; that membership is read
-off a fully reduced row basis, computed over the integers by Bareiss's
-integer-preserving Gauss-Jordan elimination, so verdicts are exact and
-bit-reproducible.  The basis is kept as one common pivot value d times the
-reduced row echelon form, and a new row is reduced only at the free
+the row space of the 0/1 path-edge incidence matrix.  A row is kept as the
+ascending tuple of its path's link columns (the dense form exists only in
+``identify --dump-matrix`` output).  Membership is read off a fully reduced
+row basis, computed over the integers by Bareiss's integer-preserving
+Gauss-Jordan elimination, so verdicts are exact and bit-reproducible.  The
+basis is kept as one common pivot value d times the reduced row echelon
+form, one row per pivot column; a new row is reduced only at the free
 (non-pivot) columns, where its residual can be nonzero.  Floating point
 never touches a verdict.
 
 Recovery runs the same elimination with one extra value column: the
 measurements are scaled to their common denominator L, so a measurement on
-a path becomes the integer row (incidence row, then L times its value) and
-the reducer never leaves the integers.  Pivots stay in the link columns; a
-row whose link part cancels while its value does not is a contradiction,
-and each unit basis row (0, .., d, .., 0 | n) reads off its link's value
-n / (d L).  Because the value column never holds a pivot, the same pass
-also gives the verdict: its rank and unit rows are those of the incidence
-rows alone.  Every report, with or without values, is read off a reduced
-basis by one function.  Simulation likewise sums weights scaled to their
-common denominator, one integer sum per path.
+a path becomes its columns with the integer value L times the measurement,
+and the reducer never leaves the integers.  Pivots stay in the link
+columns; a row whose link part cancels while its value does not is a
+contradiction, and each unit basis row (0, .., d, .., 0 | n) reads off its
+link's value n / (d L).  Because the value column never holds a pivot, the
+same pass also gives the verdict: its rank and unit rows are those of the
+incidence rows alone.  Every report, with or without values, is read off a
+reduced basis by one function.  Simulation likewise scales the weights to
+their common denominator, one integer sum per row over its columns.
 
 With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
@@ -89,8 +91,8 @@ class IdentifiabilityReport(NamedTuple):
 
 class _Reducer:
     """Incremental integer-preserving Gauss-Jordan reduction (Bareiss's
-    one-step form).  A row may carry the value column after its ``ncols``
-    link columns; pivots never fall in it.
+    one-step form) of 0/1 rows given by their columns, each with a value; a
+    basis row holds ``ncols`` link entries, then the value, never a pivot.
 
     Invariant after every ``add``: the basis is ``d`` times the reduced row
     echelon form of the rows kept so far, for one integer ``d > 0`` (the
@@ -101,40 +103,42 @@ class _Reducer:
     row space exactly when its column is a pivot whose basis row has a
     single nonzero entry among the first ``ncols``.
 
-    A new row r reduces to ``d*r - sum(r[c] * B_c)`` over the pivots c it
-    touches.  That residual is zero at every pivot column, so only the free
-    (non-pivot) link columns and the value column are computed: one dot
-    product per free column, not one whole-row operation per pivot.
+    A new row r reduces to ``d*r - sum(B_c)`` over the pivots c among its
+    columns.  That residual is zero at every pivot column, so only the free
+    (non-pivot) link columns and the value column are computed: one sum per
+    free column, not one whole-row operation per pivot.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.d = 1
-        self.pivots: list[int] = []
-        self.basis: list[list[int]] = []
+        self.basis: dict[int, list[int]] = {}  # pivot column -> basis row
         self._free = list(range(ncols))  # non-pivot link columns, ascending
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def add(self, row: tuple[int, ...] | list[int]) -> bool:
+    def add(self, row: Sequence[int], value: int = 0) -> bool:
         d = self.d
-        pivots, basis, free = self.pivots, self.basis, self._free
-        hits = [(row[c], b) for c, b in zip(pivots, basis) if row[c]]
-        cols = free + list(range(self.ncols, len(row)))
+        basis, free = self.basis, self._free
+        hits = [basis[c] for c in row if c in basis]
+        # d times the row, at its own columns and the value column
+        scaled = dict.fromkeys(row, d)
+        scaled[self.ncols] = d * value
+        cols = free + [self.ncols]
         res = []
         for f in cols:
-            s = d * row[f]
-            for a, b in hits:
-                s -= a * b[f]
+            s = scaled.get(f, 0)
+            for b in hits:
+                s -= b[f]
             res.append(s)
         nfree = len(free)
         k = 0
         while k < nfree and not res[k]:
             k += 1
         if k == nfree:
-            if any(res[nfree:]):
+            if res[-1]:
                 raise InconsistentMeasurementsError(
                     "measurement vector is inconsistent with the paths"
                 )
@@ -144,12 +148,12 @@ class _Reducer:
         if lead < 0:
             lead = -lead
             res = [-x for x in res]
-        new = [0] * len(row)
+        new = [0] * (self.ncols + 1)
         for f, x in zip(cols, res):
             new[f] = x
         # keep the basis at lead times the reduced form; only the free
         # columns, the value column and a row's own pivot can change
-        for c, b in zip(pivots, basis):
+        for c, b in basis.items():
             bp = b[pivot]
             if bp:
                 for f in cols:
@@ -161,12 +165,7 @@ class _Reducer:
                 b[c] = lead
         self.d = lead
         del free[k]
-        # pivots ascend, and a new pivot tends to come late
-        at = len(pivots)
-        while at and pivots[at - 1] > pivot:
-            at -= 1
-        pivots.insert(at, pivot)
-        basis.insert(at, new)
+        basis[pivot] = new
         return True
 
     def unit_rows(self) -> list[tuple[int, list[int]]]:
@@ -175,7 +174,7 @@ class _Reducer:
         n = self.ncols
         return [
             (pcol, row)
-            for pcol, row in zip(self.pivots, self.basis)
+            for pcol, row in self.basis.items()
             if row[:n].count(0) == n - 1
         ]
 
@@ -224,31 +223,29 @@ def _column_index(cols: tuple[Edge, ...]) -> dict[tuple[int, int], int]:
     return index
 
 
-def _row(p: Path, index: dict[tuple[int, int], int], ncols: int) -> tuple[int, ...]:
-    """0/1 incidence row of a path, checked as it is set: at least one edge,
-    no repeated node, and every step a graph edge (which also keeps out
-    nodes the graph does not have)."""
+def _row(p: Path, index: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """Incidence row of a path as the ascending columns of its links, checked
+    as it is built: at least one edge, no repeated node, and every step a
+    graph edge (which also keeps out nodes the graph does not have)."""
     if len(p) < 2:
         raise InvalidPathError(f"measurement path must have at least one edge: {p}")
     if len(set(p)) != len(p):
         raise InvalidPathError(f"not a simple path of the graph: {p}")
-    row = [0] * ncols
     try:
-        for step in zip(p, p[1:]):
-            row[index[step]] = 1
+        return tuple(sorted([index[step] for step in zip(p, p[1:])]))
     except KeyError:
         raise InvalidPathError(f"not a simple path of the graph: {p}") from None
-    return tuple(row)
 
 
 def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
     """0/1 incidence of edges on paths; columns in canonical edge order.
-    Each path is checked in the pass that sets its row (see ``_row``)."""
+    Each row is stored as the ascending columns of its path's links (where
+    it holds a one), checked as it is built (see ``_row``)."""
     cols = tuple(g.sorted_edges())
     index = _column_index(cols)
     # a list, not a generator: tuple() grows a generator's result by
     # reallocation, which cost the scan benchmark about 0.75 MiB of peak RSS
-    rows = tuple([_row(p, index, len(cols)) for p in paths])
+    rows = tuple([_row(p, index) for p in paths])
     return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, rows)
 
 
@@ -412,7 +409,7 @@ def certify_full_rank(
         if rows == cap:
             return None, None
         rows += 1
-        red.add(_row(p, index, len(cols)))
+        red.add(_row(p, index))
         if red.rank == len(cols):
             return True, evidence
     return False, PATH_ENUMERATION
@@ -427,9 +424,15 @@ def simulate(
     """Enumerate paths and produce their exact metric sums, one per row.
 
     ``weights`` gives each link, in either orientation, a rational value.
-    Before any path is walked, the links must be exactly the graph's and
-    every value must be positive."""
-    weights = {edge(*e): Fraction(w) for e, w in weights.items()}
+    Before any path is walked, no link may be named twice, the links must
+    be exactly the graph's and every value must be positive."""
+    given = weights
+    weights = {}
+    for e, w in given.items():
+        link = edge(*e)
+        if link in weights:
+            raise ValueError(f"weights name link {link} twice")
+        weights[link] = Fraction(w)
     missing = g.edges - set(weights)
     extra = set(weights) - g.edges
     if missing or extra:
@@ -441,10 +444,8 @@ def simulate(
     matrix = build_matrix(g, paths)
     # weights over their common denominator, so each path sum is an integer
     scale = lcm(*(w.denominator for w in weights.values()))
-    scaled = {}
-    for (u, v), w in weights.items():
-        scaled[u, v] = scaled[v, u] = w.numerator * (scale // w.denominator)
-    values = tuple(Fraction(sum(scaled[step] for step in zip(p, p[1:])), scale) for p in paths)
+    scaled = [weights[e].numerator * (scale // weights[e].denominator) for e in matrix.edge_index]
+    values = tuple(Fraction(sum([scaled[c] for c in row]), scale) for row in matrix.rows)
     return matrix, values
 
 
@@ -465,7 +466,7 @@ def recover(
     scale = lcm(*(v.denominator for v in values))
     red = _Reducer(len(matrix.edge_index))
     for row, value in zip(matrix.rows, values):
-        red.add([*row, value.numerator * (scale // value.denominator)])
+        red.add(row, value.numerator * (scale // value.denominator))
     recovered = {
         matrix.edge_index[pcol]: Fraction(row[-1], row[pcol] * scale)
         for pcol, row in red.unit_rows()

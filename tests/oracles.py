@@ -476,6 +476,16 @@ def reference_rref(rows) -> list[list[Fraction]]:
     return mat[:rank]
 
 
+def incidence_rows(matrix) -> list[tuple[int, ...]]:
+    """Dense 0/1 incidence rows of a measurement matrix, read from its paths
+    and link columns alone: one entry per link, 1 where the path uses it."""
+    out = []
+    for p in matrix.paths:
+        links = {edge(a, b) for a, b in zip(p, p[1:])}
+        out.append(tuple(int(e in links) for e in matrix.edge_index))
+    return out
+
+
 def fraction_rank(rows: list[tuple[int, ...]]) -> int:
     return len(reference_rref(rows))
 

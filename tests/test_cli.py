@@ -299,6 +299,22 @@ class TestIdentify:
         assert lines[0] == "1,2 ; 100 ; "
         assert lines[1] == "1,3,2 ; 011 ; "
 
+    def test_weighted_matrix_dump(self, capsys, k4_file, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("1 2 1\n1 3 2\n1 4 3\n2 3 1/2\n2 4 5\n3 4 7/3\n")
+        out = tmp_path / "matrix.txt"
+        argv = ["identify", k4_file, "--monitors", "1,2", "--weights", str(w), "--dump-matrix", str(out)]
+        code, report = run(capsys, argv)
+        assert code == 0
+        assert report["recovered"] == {"1-2": "1", "3-4": "7/3"}
+        assert out.read_text() == (
+            "1,2 ; 100000 ; 1\n"
+            "1,3,2 ; 010100 ; 5/2\n"
+            "1,4,2 ; 001010 ; 8\n"
+            "1,3,4,2 ; 010011 ; 28/3\n"
+            "1,4,3,2 ; 001101 ; 35/6\n"
+        )
+
 
 class TestHostileInput:
     def test_non_utf8_graph_file(self, capsys, tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from linkscope.connectivity import _separation, cut_vertices
-from linkscope.decomposition import biconnected_components, triconnected_components
+from linkscope.decomposition import BiconnectedComponent, biconnected_components, triconnected_components
 from linkscope.errors import DisconnectedError
 from linkscope.graph import Graph, is_connected
 
@@ -89,6 +89,21 @@ class TestTriconnected:
         block = biconnected_components(g)[0]
         with pytest.raises(ValueError):
             triconnected_components(block, g)
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [(1, 2), (1, 3), (1, 4)],
+            [(1, 2), (2, 3), (3, 4)],
+            [(1, 2), (1, 5), (2, 5), (3, 4), (3, 5), (4, 5)],
+            [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)],
+        ],
+        ids=["star", "path", "bowtie", "two-k4s-sharing-a-node"],
+    )
+    def test_non_biconnected_block_rejected(self, links):
+        g = Graph(edges=links)
+        with pytest.raises(ValueError, match="^component is not biconnected$"):
+            triconnected_components(BiconnectedComponent(g.nodes, g.edges, frozenset()), g)
 
     def test_separation_vertices_examples(self, k4):
         block = biconnected_components(k4)[0]

@@ -4,7 +4,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linkscope.errors import (
     DuplicateEdgeError,
@@ -98,6 +98,7 @@ class TestSerialize:
             serialize(Graph([2, 5], []))
 
     @given(st.integers(2, 6), st.integers(0, 2**15 - 1))
+    @settings(derandomize=True, deadline=None)
     def test_round_trip_random(self, n, mask):
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
