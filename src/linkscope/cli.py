@@ -112,9 +112,12 @@ def _default_cap() -> int:
     if env is None:
         return DEFAULT_PATH_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
         raise GraphParseError(f"bad LINKSCOPE_PATH_CAP value {env!r}") from None
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    return cap
 
 
 def _emit(report: dict) -> None:
@@ -159,9 +162,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_place(args) -> int:
     g = _load_graph(args.graph)
-    cap = _default_cap()  # a malformed value exits before the placement runs
+    cap = _default_cap()  # a bad value exits before the placement runs
     trace = mmp(g, args.seed)
-    verified, evidence = verify_placement(g, trace, cap=cap)
+    verified, evidence = verify_placement(g, trace.monitors, cap=cap)
     decomposition = []
     for block, comps in trace.decomposition:
         entry = {
@@ -186,7 +189,7 @@ def _cmd_place(args) -> int:
         "k_min": trace.k_min,
         "verified": verified,
         "evidence": evidence,
-        "tiebreak": {"policy": "lowest" if trace.seed is None else "seeded", "seed": trace.seed},
+        "tiebreak": {"policy": "lowest" if args.seed is None else "seeded", "seed": args.seed},
         "stage1_degree_monitors": sorted(trace.stage1_degree_monitors),
         "per_triconnected": [
             {

@@ -47,13 +47,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import AbstractSet, Iterable, Mapping
 
-from .errors import DisconnectedError
-from .graph import Edge, Graph, edge, is_connected
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedError("graph must be connected")
+from .graph import Edge, Graph, edge, is_connected, require_connected
 
 
 def _lowpoint(adj: Mapping[int, Iterable[int]]) -> tuple[set[Edge], set[int], list[list[int]]]:
@@ -152,13 +146,13 @@ def _separation(adj: Mapping[int, AbstractSet[int]], k: int) -> tuple[tuple[int,
 
 def bridges(g: Graph) -> frozenset[Edge]:
     """Edges whose removal disconnects the (connected) graph."""
-    _require_connected(g)
+    require_connected(g)
     return frozenset(_lowpoint(g.adj)[0])
 
 
 def cut_vertices(g: Graph) -> frozenset[int]:
     """Nodes whose removal disconnects the (connected) graph."""
-    _require_connected(g)
+    require_connected(g)
     return frozenset(_lowpoint(g.adj)[1])
 
 

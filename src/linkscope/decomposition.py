@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .connectivity import _lowpoint, _separation
-from .errors import DisconnectedError
-from .graph import Edge, Graph, edge, is_connected, reachable
+from .graph import Edge, Graph, edge, reachable, require_connected
 
 
 class BiconnectedComponent(NamedTuple):
@@ -64,8 +63,7 @@ class TriconnectedComponent(NamedTuple):
 def biconnected_components(g: Graph) -> list[BiconnectedComponent]:
     """Standard block decomposition; blocks sorted by smallest contained node.
     A block's edges are the graph edges with both ends in it."""
-    if not is_connected(g):
-        raise DisconnectedError("graph must be connected")
+    require_connected(g)
     _, cuts, blocks = _lowpoint(g.adj)
     out = []
     for block in blocks:
@@ -103,13 +101,13 @@ def _comp_key(piece: tuple[frozenset[int], set[Edge], set[Edge]]):
     return (sorted(nodes), sorted(real), sorted(virtual))
 
 
-def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[TriconnectedComponent]:
+def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedComponent]:
     """Canonical triconnected components of a block with at least 3 nodes.
-    ValueError unless the block is one biconnected piece of ``g``."""
+    The block alone is read: its nodes, edges and the host graph's cut
+    vertices inside it.  ValueError unless its nodes and edges form one
+    biconnected piece."""
     if len(b.nodes) < 3:
         raise ValueError("triconnected decomposition needs a block of >= 3 nodes")
-    if not b.edges <= g.edges or not b.nodes <= g.nodes:
-        raise ValueError("component does not belong to the given graph")
     if [len(block) for block in _lowpoint(_piece_adj(b.nodes, b.edges))[2]] != [len(b.nodes)]:
         raise ValueError("component is not biconnected")
 
@@ -173,18 +171,17 @@ def triconnected_components(b: BiconnectedComponent, g: Graph) -> list[Triconnec
             break
 
     # hand each pending real pair edge to the canonically smallest component
-    # attached to its pair; the rest keep the virtual copy
-    assigned: dict[int, set[Edge]] = {}
+    # attached to its pair; the rest keep the virtual copy (splits leave it
+    # virtual everywhere, so it is real only where it was handed)
     for e in sorted(pending):
         holders = [i for i, (_, _, virtual) in enumerate(atoms) if e in virtual]
         target = min(holders, key=lambda i: _comp_key(atoms[i]))
         nodes, real, virtual = atoms[target]
         atoms[target] = (nodes, real | {e}, virtual - {e})
-        assigned.setdefault(target, set()).add(e)
 
     out = []
-    for idx, (nodes, real, virtual) in enumerate(atoms):
-        pairs = virtual | assigned.get(idx, set())
+    for nodes, real, virtual in atoms:
+        pairs = virtual | (real & pending)
         sep = (b.cut_vertices & nodes) | {v for e in pairs for v in e}
         out.append(
             TriconnectedComponent(

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (
+    DisconnectedError,
     DuplicateEdgeError,
     GraphParseError,
     InvalidCycleError,
@@ -220,6 +221,13 @@ def is_connected(g: Graph) -> bool:
     if not g.nodes:
         return True
     return len(reachable(g.adj, (min(g.nodes),), ())) == len(g.nodes)
+
+
+def require_connected(g: Graph) -> None:
+    """DisconnectedError unless the graph is connected: the one check of every
+    entry point that needs it (cut vertices, blocks, measurement paths)."""
+    if not is_connected(g):
+        raise DisconnectedError("graph must be connected")
 
 
 # ---------------------------------------------------------------------------

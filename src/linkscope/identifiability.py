@@ -49,7 +49,6 @@ from math import lcm
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
-    DisconnectedError,
     InconsistentMeasurementsError,
     InvalidPathError,
     PathExplosionError,
@@ -60,8 +59,8 @@ from .graph import (
     MonitorSet,
     Path,
     edge,
-    is_connected,
     iter_simple_paths,
+    require_connected,
     validate_monitors,
 )
 
@@ -82,7 +81,10 @@ class IdentifiabilityReport(NamedTuple):
     rank: int
     identifiable: frozenset[Edge]
     unidentifiable: frozenset[Edge]
-    fully_identifiable: bool
+
+    @property
+    def fully_identifiable(self) -> bool:
+        return not self.unidentifiable
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,7 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
     (ascending), then by length, then lexicographically.  Each undirected
     path appears once, oriented from its smaller endpoint."""
     ms = validate_monitors(g, monitors, minimum=2)
-    if not is_connected(g):
-        raise DisconnectedError("graph must be connected")
+    require_connected(g)
     if cap < 1:
         raise ValueError("cap must be positive")
     out: list[Path] = []
@@ -252,10 +253,9 @@ def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
 def _report(red: _Reducer, cols: tuple[Edge, ...]) -> IdentifiabilityReport:
     """The verdict read off a reduced basis over the link columns ``cols``."""
     if red.rank == len(cols):
-        return IdentifiabilityReport(red.rank, frozenset(cols), frozenset(), True)
+        return IdentifiabilityReport(red.rank, frozenset(cols), frozenset())
     good = frozenset(cols[c] for c, _ in red.unit_rows())
-    bad = frozenset(cols) - good
-    return IdentifiabilityReport(red.rank, good, bad, not bad)
+    return IdentifiabilityReport(red.rank, good, frozenset(cols) - good)
 
 
 def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:

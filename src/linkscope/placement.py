@@ -25,7 +25,7 @@ from .decomposition import (
     triconnected_components,
 )
 from .errors import InfeasibleStageError, TooSmallError
-from .graph import Graph, MonitorSet
+from .graph import Graph, MonitorSet, validate_monitors
 from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
 from .tomography import extend
 
@@ -60,7 +60,6 @@ class PlacementTrace(NamedTuple):
     # each block with the triconnected components the stages read (none for
     # a block of two nodes), in block order
     decomposition: tuple[tuple[BiconnectedComponent, tuple[TriconnectedComponent, ...]], ...]
-    seed: int | None = None
 
     @property
     def k_min(self) -> int:
@@ -111,7 +110,7 @@ def mmp(g: Graph, seed: int | None = None) -> PlacementTrace:
         if len(block.nodes) < 3:
             decomposition.append((block, ()))
             continue
-        comps = tuple(triconnected_components(block, g))
+        comps = tuple(triconnected_components(block))
         decomposition.append((block, comps))
         for ti, comp in enumerate(comps):
             m_t, added = _top_up("component", comp.nodes, comp.separation_vertices, monitors, choose)
@@ -133,27 +132,25 @@ def mmp(g: Graph, seed: int | None = None) -> PlacementTrace:
         per_biconnected=tuple(bi_records),
         topup=topup,
         decomposition=tuple(decomposition),
-        seed=seed,
     )
 
 
 def verify_placement(
-    g: Graph, trace: PlacementTrace, cap: int = DEFAULT_PATH_CAP
+    g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
 ) -> tuple[bool | None, str | None]:
-    """Whether the trace's monitors make every link identifiable, and the
-    check that decided: "extended graph", "constructed paths" or "path
-    enumeration".
+    """Whether a monitor set, from ``mmp`` or any other source, makes every
+    link identifiable, and the check that decided: "extended graph",
+    "constructed paths" or "path enumeration".
 
-    False when the extended graph is not 3-vertex-connected (or there are
-    fewer than three monitors).  Otherwise the exact rank certificate
-    (``certify_full_rank``) decides, feeding at most ``cap`` rows; (None,
-    None) means it fed ``cap`` rows before the rank was decided, so it gave
-    no evidence either way."""
-    monitors = trace.monitors
-    if len(monitors) < 3 or any(m not in g.nodes for m in monitors):
-        # the two added nodes of the extended graph have fewer than three
-        # neighbours
+    The monitors are checked by ``validate_monitors``: NotFoundError for a
+    node outside the graph, ValueError for a repeated id.  False when the
+    extended graph is not 3-vertex-connected (or there are fewer than three
+    monitors).  Otherwise the exact rank certificate (``certify_full_rank``)
+    decides, feeding at most ``cap`` rows; (None, None) means it fed ``cap``
+    rows before the rank was decided, so it gave no evidence either way."""
+    ms = validate_monitors(g, monitors, minimum=0)
+    # with fewer than three monitors the two added nodes of the extended
+    # graph have fewer than three neighbours
+    if len(ms) < 3 or not is_k_vertex_connected(extend(g, ms), 3):
         return False, EXTENDED_GRAPH
-    if not is_k_vertex_connected(extend(g, monitors), 3):
-        return False, EXTENDED_GRAPH
-    return certify_full_rank(g, monitors, cap)
+    return certify_full_rank(g, ms, cap)

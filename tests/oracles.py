@@ -15,6 +15,7 @@ from itertools import combinations
 from linkscope.errors import InconclusiveError, NotFoundError, PathExplosionError
 from linkscope.graph import (
     Graph,
+    MonitorSet,
     edge,
     is_connected,
     iter_simple_paths,
@@ -27,7 +28,7 @@ from linkscope.identifiability import (
     enumerate_monitor_paths,
     identifiable_links,
 )
-from linkscope.placement import PlacementTrace, verify_placement
+from linkscope.placement import verify_placement
 
 
 def brute_bridges(g: Graph) -> frozenset:
@@ -200,18 +201,18 @@ def check_lemma1(g: Graph, monitors: tuple, bridge_link: tuple) -> bool:
 
 def minimality_probe(
     g: Graph,
-    trace: PlacementTrace,
+    monitors: MonitorSet,
     budget: int = 100000,
     cap: int = DEFAULT_PATH_CAP,
 ) -> bool:
-    """True when no monitor set one smaller than the trace's achieves full
+    """True when no monitor set one smaller than ``monitors`` achieves full
     identifiability; candidate sets are enumerated exhaustively up to the
     budget, beyond which the probe refuses to answer.
 
     Not independent of the package: two monitors are decided by the rank of
     the enumerated path matrix, three or more by ``verify_placement``.  A
     candidate that the path cap leaves undecided makes the probe refuse."""
-    k = len(trace.monitors) - 1
+    k = len(monitors) - 1
     if k < 2:
         return True  # fewer than two monitors measure nothing on >= 1 edge
     for examined, candidate in enumerate(combinations(g.sorted_nodes(), k), start=1):
@@ -225,7 +226,7 @@ def minimality_probe(
             else:
                 full = identifiable_links(build_matrix(g, paths)).fully_identifiable
         else:
-            full = verify_placement(g, trace._replace(monitors=candidate), cap)[0]
+            full = verify_placement(g, candidate, cap)[0]
         if full is None:
             raise InconclusiveError("path cap hit while probing a candidate set")
         if full:

@@ -190,12 +190,12 @@ def _placement_worker(batch: list[tuple]) -> dict:
     for edges in batch:
         g = Graph(edges=edges)
         out["graphs"] += 1
-        trace = mmp(g)
-        if verify_placement(g, trace, cap=SCAN_CAP)[0]:
+        monitors = mmp(g).monitors
+        if verify_placement(g, monitors, cap=SCAN_CAP)[0]:
             out["verified"] += 1
         else:
             out["failures"].append(("verify", sorted(g.edges)))
-        if minimality_probe(g, trace, budget=10000, cap=SCAN_CAP):
+        if minimality_probe(g, monitors, budget=10000, cap=SCAN_CAP):
             out["minimal"] += 1
         else:
             out["failures"].append(("minimality", sorted(g.edges)))
@@ -205,7 +205,7 @@ def _placement_worker(batch: list[tuple]) -> dict:
             out["decomp_blocks"] += 1
             got = {
                 (c.nodes, c.real_edges, c.virtual_edges)
-                for c in triconnected_components(block, g)
+                for c in triconnected_components(block)
             }
             want = set(reference_split_components(block.nodes, block.edges))
             if got == want:
@@ -269,7 +269,8 @@ class TestAcceptance:
         assert placement_scan["verified"] == placement_scan["graphs"], placement_scan["failures"]
         randoms = _random_placement_instances()
         for g in randoms:
-            assert verify_placement(g, mmp(g), cap=SCAN_CAP)[0], sorted(g.edges)
+            assert verify_placement(g, mmp(g).monitors, cap=SCAN_CAP)[0], sorted(g.edges)
+        assert (placement_scan["graphs"], len(randoms)) == (27474, 300)
         print(
             f"\nC1 placement sufficiency: PASS "
             f"({placement_scan['graphs']} exhaustive graphs on 3-6 nodes, "
@@ -278,6 +279,7 @@ class TestAcceptance:
 
     def test_criterion_2_placement_minimality(self, placement_scan):
         assert placement_scan["minimal"] == placement_scan["graphs"], placement_scan["failures"]
+        assert placement_scan["graphs"] == 27474
         print(
             f"\nC2 placement minimality: PASS "
             f"({placement_scan['graphs']} exhaustive graphs, no smaller monitor set suffices)"
@@ -293,6 +295,7 @@ class TestAcceptance:
     def test_criterion_4_exterior_links(self, instance_scan):
         assert instance_scan["corollary1_ok"] == instance_scan["instances"], instance_scan["failures"]
         assert instance_scan["direct_link_ok"] == instance_scan["instances"], instance_scan["failures"]
+        assert instance_scan["instances"] == 408081
         print(
             f"\nC4 exterior links unidentifiable, direct link identifiable: PASS "
             f"({instance_scan['instances']} two-monitor instances)"
@@ -300,6 +303,7 @@ class TestAcceptance:
 
     def test_criterion_5_deletion_characterization(self, instance_scan):
         assert instance_scan["prop2_ok"] == instance_scan["prop2_checked"], instance_scan["failures"]
+        assert instance_scan["prop2_checked"] == 408068
         print(
             f"\nC5 deletion characterization equivalence: PASS "
             f"({instance_scan['prop2_checked']} instances with >= 4 nodes)"
@@ -319,10 +323,12 @@ class TestAcceptance:
             assert lhs5 == rhs5, (sorted(g.edges), monitors)
             assert lhs6 == rhs6, (sorted(g.edges), monitors)
             checked += 1
+        assert checked == 300
         print(f"\nC6 extended-graph equivalences: PASS ({checked} random instances)")
 
     def test_criterion_7_identifiability_needs_condition2(self, instance_scan):
         assert instance_scan["prop1_ok"] == instance_scan["prop1_checked"], instance_scan["failures"]
+        assert instance_scan["prop1_checked"] == 39032
         print(
             f"\nC7 identifiable interior implies condition 2: PASS "
             f"({instance_scan['prop1_checked']} instances with connected, identifiable interior)"
@@ -333,6 +339,7 @@ class TestAcceptance:
         # monitor link), the rank oracle confirms every interior link
         # identifiable
         assert instance_scan["sufficiency_ok"] == instance_scan["sufficiency_checked"], instance_scan["failures"]
+        assert instance_scan["sufficiency_checked"] == 19516
         print(
             f"\nConditions sufficiency (oracle): PASS "
             f"({instance_scan['sufficiency_checked']} qualifying instances)"
@@ -359,16 +366,17 @@ class TestAcceptance:
         assert extra["lemma3_ok"] == extra["lemma3_links"], extra["failures"]
         assert extra["lemma4_ok"] == extra["caseb_links"], extra["failures"]
         assert extra["bound_ok"] == extra["cycles_checked"], extra["failures"]
+        counts = [instance_scan[key] + extra[key] for key in ("lemma3_links", "caseb_links", "cycles_checked")]
+        assert (instance_scan["qualifying"], extra["qualifying"], *counts) == (39212, 54, 175902, 4380, 226772)
         print(
             f"\nC8 witness structures: PASS "
             f"({instance_scan['qualifying']} exhaustive + {extra['qualifying']} random qualifying instances; "
-            f"{instance_scan['lemma3_links'] + extra['lemma3_links']} links, "
-            f"{instance_scan['caseb_links'] + extra['caseb_links']} hard-case links, "
-            f"{instance_scan['cycles_checked'] + extra['cycles_checked']} non-separating cycles)"
+            f"{counts[0]} links, {counts[1]} hard-case links, {counts[2]} non-separating cycles)"
         )
 
     def test_criterion_9_recovery_exactness(self):
         rng = Random(1234)
+        checked = 0
         for trial in range(RECOVERY_COUNT):
             n = 4 + trial % 5
             p = (0.4, 0.55, 0.7)[trial % 3]
@@ -388,7 +396,9 @@ class TestAcceptance:
             assert set(recovered) == set(report.identifiable)
             for e, value in recovered.items():
                 assert value == weights[e], (sorted(g.edges), monitors, e)
-        print(f"\nC9 recovery exactness: PASS ({RECOVERY_COUNT} seeded instances, zero tolerance)")
+            checked += 1
+        assert checked == 200
+        print(f"\nC9 recovery exactness: PASS ({checked} seeded instances, zero tolerance)")
 
     def test_criterion_10_decomposition_oracle(self, placement_scan):
         assert placement_scan["decomp_ok"] == placement_scan["decomp_blocks"], placement_scan["failures"]
@@ -400,11 +410,12 @@ class TestAcceptance:
                 extra_blocks += 1
                 got = {
                     (c.nodes, c.real_edges, c.virtual_edges)
-                    for c in triconnected_components(block, g)
+                    for c in triconnected_components(block)
                 }
                 assert got == set(reference_split_components(block.nodes, block.edges)), sorted(
                     block.edges
                 )
+        assert (placement_scan["decomp_blocks"], extra_blocks) == (27189, 298)
         print(
             f"\nC10 decomposition oracle agreement: PASS "
             f"({placement_scan['decomp_blocks']} exhaustive + {extra_blocks} random blocks)"

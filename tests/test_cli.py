@@ -196,7 +196,7 @@ class TestPlace:
                             "separation_vertices": sorted(t.separation_vertices),
                             "s_t": t.s_t,
                         }
-                        for t in (triconnected_components(b, g) if len(b.nodes) >= 3 else [])
+                        for t in (triconnected_components(b) if len(b.nodes) >= 3 else [])
                     ],
                 }
                 for b in blocks
@@ -355,14 +355,27 @@ class TestHostileInput:
         assert main([command[0], k4_file, *command[1:]]) == 2
         assert capsys.readouterr().err == "error: bad LINKSCOPE_PATH_CAP value 'abc'\n"
 
-    def test_bad_env_cap_exits_before_placement(self, capsys, k4_file, monkeypatch):
+    def test_nonpositive_env_cap_before_weights(self, capsys, tri_file, tmp_path, monkeypatch):
+        # the cap is checked before the weights file is read
+        w = tmp_path / "w.txt"
+        w.write_text("not a weight line\n")
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "0")
+        assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 3
+        assert capsys.readouterr().err == "error: cap must be positive\n"
+
+    @pytest.mark.parametrize(
+        "cap, code, err",
+        [("abc", 2, "bad LINKSCOPE_PATH_CAP value 'abc'"), ("0", 3, "cap must be positive"), ("-1", 3, "cap must be positive")],
+        ids=["abc", "0", "-1"],
+    )
+    def test_bad_env_cap_exits_before_placement(self, capsys, k4_file, monkeypatch, cap, code, err):
         def no_placement(*args):
             raise AssertionError("mmp ran before the path cap was read")
 
         monkeypatch.setattr(cli, "mmp", no_placement)
-        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "abc")
-        assert main(["place", k4_file]) == 2
-        assert capsys.readouterr().err == "error: bad LINKSCOPE_PATH_CAP value 'abc'\n"
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", cap)
+        assert main(["place", k4_file]) == code
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize(
         "link, err",

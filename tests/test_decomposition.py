@@ -55,7 +55,7 @@ class TestBlocks:
 class TestTriconnected:
     def test_k4_is_rigid(self, k4):
         block = biconnected_components(k4)[0]
-        comps = triconnected_components(block, k4)
+        comps = triconnected_components(block)
         assert len(comps) == 1
         assert comps[0].nodes == {1, 2, 3, 4}
         assert comps[0].virtual_edges == frozenset()
@@ -64,7 +64,7 @@ class TestTriconnected:
     def test_c5_is_one_polygon(self):
         g = c_n(5)
         block = biconnected_components(g)[0]
-        comps = triconnected_components(block, g)
+        comps = triconnected_components(block)
         assert len(comps) == 1
         assert comps[0].nodes == set(range(1, 6))
         assert comps[0].real_edges == g.edges
@@ -73,7 +73,7 @@ class TestTriconnected:
     def test_two_k4s_sharing_an_edge(self):
         g = two_k4s_sharing_edge()
         block = biconnected_components(g)[0]
-        comps = triconnected_components(block, g)
+        comps = triconnected_components(block)
         assert len(comps) == 2
         for comp in comps:
             assert len(comp.nodes) == 4
@@ -88,7 +88,7 @@ class TestTriconnected:
         g = path_n(3)
         block = biconnected_components(g)[0]
         with pytest.raises(ValueError):
-            triconnected_components(block, g)
+            triconnected_components(block)
 
     @pytest.mark.parametrize(
         "links",
@@ -103,15 +103,15 @@ class TestTriconnected:
     def test_non_biconnected_block_rejected(self, links):
         g = Graph(edges=links)
         with pytest.raises(ValueError, match="^component is not biconnected$"):
-            triconnected_components(BiconnectedComponent(g.nodes, g.edges, frozenset()), g)
+            triconnected_components(BiconnectedComponent(g.nodes, g.edges, frozenset()))
 
     def test_separation_vertices_examples(self, k4):
         block = biconnected_components(k4)[0]
-        comp = triconnected_components(block, k4)[0]
+        comp = triconnected_components(block)[0]
         assert comp.separation_vertices == frozenset()
 
         g2 = two_k4s_sharing_edge()
-        for comp in triconnected_components(biconnected_components(g2)[0], g2):
+        for comp in triconnected_components(biconnected_components(g2)[0]):
             assert comp.separation_vertices == {1, 2}
 
         # rigid block hanging off a cut vertex
@@ -119,7 +119,7 @@ class TestTriconnected:
             edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6)]
         )
         k4_block = next(b for b in biconnected_components(g3) if len(b.nodes) == 4)
-        comp = triconnected_components(k4_block, g3)[0]
+        comp = triconnected_components(k4_block)[0]
         assert comp.separation_vertices == {4}
         assert comp.s_t == 1
 
@@ -136,7 +136,7 @@ class TestInvariants:
 
     def test_real_edges_partition_block(self):
         for g, block in self._all_blocks():
-            comps = triconnected_components(block, g)
+            comps = triconnected_components(block)
             reals = [e for c in comps for e in c.real_edges]
             assert len(reals) == len(set(reals))
             assert set(reals) == set(block.edges)
@@ -144,7 +144,7 @@ class TestInvariants:
     def test_virtual_pairs_are_separation_pairs(self):
         for g, block in self._all_blocks():
             block_graph = Graph(block.nodes, block.edges)
-            for comp in triconnected_components(block, g):
+            for comp in triconnected_components(block):
                 for a, b in comp.virtual_edges:
                     rest = [e for e in block_graph.edges if a not in e and b not in e]
                     assert not is_connected(Graph(block_graph.nodes - {a, b}, rest))
@@ -157,8 +157,8 @@ class TestInvariants:
             for bg, bh in zip(biconnected_components(g), biconnected_components(h)):
                 if len(bg.nodes) < 3:
                     continue
-                cg = triconnected_components(bg, g)
-                ch = triconnected_components(bh, h)
+                cg = triconnected_components(bg)
+                ch = triconnected_components(bh)
                 assert sorted(len(c.nodes) for c in cg) == sorted(len(c.nodes) for c in ch)
                 assert sorted(c.s_t for c in cg) == sorted(c.s_t for c in ch)
 
@@ -166,7 +166,7 @@ class TestInvariants:
         for g, block in self._all_blocks():
             got = {
                 (c.nodes, c.real_edges, c.virtual_edges)
-                for c in triconnected_components(block, g)
+                for c in triconnected_components(block)
             }
             want = set(reference_split_components(block.nodes, block.edges))
             assert got == want, (sorted(block.nodes), sorted(block.edges))
@@ -174,7 +174,7 @@ class TestInvariants:
     def test_separation_vertex_definition(self):
         for g, block in self._all_blocks():
             cuts = cut_vertices(g)
-            comps = triconnected_components(block, g)
+            comps = triconnected_components(block)
             for comp in comps:
                 # the pairs it meets its siblings at: its virtual edges, and
                 # each real edge that a sibling holds as a virtual copy

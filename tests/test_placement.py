@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from linkscope.errors import DisconnectedError, InconclusiveError, TooSmallError
+from linkscope.errors import DisconnectedError, InconclusiveError, NotFoundError, TooSmallError
 from linkscope.graph import Graph
 from linkscope import identifiability
-from linkscope.placement import PlacementTrace, mmp, verify_placement
+from linkscope.placement import mmp, verify_placement
 
 from .conftest import STALL_EDGES, all_connected_graphs, c_n, path_n, random_connected_graph
 from .oracles import minimality_probe
@@ -89,40 +89,40 @@ class TestMmpTraces:
 
 class TestVerification:
     def test_examples(self, k4, c4):
-        assert verify_placement(k4, mmp(k4))[0]
-        assert verify_placement(c4, mmp(c4))[0]
+        assert verify_placement(k4, mmp(k4).monitors)[0]
+        assert verify_placement(c4, mmp(c4).monitors)[0]
 
-    def test_two_monitor_trace_fails(self, k4):
-        trace = mmp(k4)
-        forced = PlacementTrace(
-            monitors=(1, 2),
-            stage1_degree_monitors=frozenset(),
-            per_triconnected=(),
-            per_biconnected=(),
-            topup=frozenset(),
-            decomposition=trace.decomposition,
-        )
-        assert verify_placement(k4, trace)[0]
-        assert not verify_placement(k4, forced)[0]
+    @pytest.mark.parametrize("monitors", [(), (1,), (1, 2)], ids=["none", "one", "two"])
+    def test_fewer_than_three_monitors_fail(self, k4, monitors):
+        assert verify_placement(k4, monitors) == (False, "extended graph")
+
+    def test_monitors_checked_at_the_boundary(self, k4):
+        with pytest.raises(NotFoundError, match=r"^monitors \[9\] not in graph$"):
+            verify_placement(k4, (1, 2, 9))
+        with pytest.raises(ValueError, match="^monitor ids must be distinct$"):
+            verify_placement(k4, (1, 2, 2))
+        # a non-member is refused even when too few monitors would fail
+        with pytest.raises(NotFoundError):
+            verify_placement(k4, (1, 9))
 
     def test_verified_on_random_graphs(self):
         for seed in range(12):
             g = random_connected_graph(6 + seed % 4, 0.45, 900 + seed)
-            assert verify_placement(g, mmp(g))[0]
+            assert verify_placement(g, mmp(g).monitors)[0]
 
     def test_evidence_names_the_deciding_check(self, k4):
-        trace = mmp(k4)
-        assert verify_placement(k4, trace) == (True, "constructed paths")
-        assert verify_placement(k4, trace._replace(monitors=(1, 2))) == (False, "extended graph")
-        assert verify_placement(k4, trace, cap=1) == (None, None)
+        monitors = mmp(k4).monitors
+        assert verify_placement(k4, monitors) == (True, "constructed paths")
+        assert verify_placement(k4, (1, 2)) == (False, "extended graph")
+        assert verify_placement(k4, monitors, cap=1) == (None, None)
 
     def test_enumeration_decides_when_constructed_paths_fall_short(self):
         # the extended graph is 3-connected and the constructed rows fall
         # short; the enumerated rows that finish the rank share their cap
         g = Graph(range(1, 10), G9_LINKS)
-        trace = mmp(g)._replace(monitors=(1, 2, 3, 4, 7, 9))
-        assert verify_placement(g, trace, cap=50) == (True, "path enumeration")
-        assert verify_placement(g, trace, cap=49) == (None, None)
+        monitors = (1, 2, 3, 4, 7, 9)
+        assert verify_placement(g, monitors, cap=50) == (True, "path enumeration")
+        assert verify_placement(g, monitors, cap=49) == (None, None)
 
     def test_stalled_input_needs_no_enumeration(self, monkeypatch):
         def stall(*args, **kwargs):
@@ -130,24 +130,24 @@ class TestVerification:
 
         monkeypatch.setattr(identifiability, "iter_simple_paths", stall)
         g = Graph(range(1, 33), STALL_EDGES)
-        assert verify_placement(g, mmp(g), cap=2000) == (True, "constructed paths")
+        assert verify_placement(g, mmp(g).monitors, cap=2000) == (True, "constructed paths")
 
 
 class TestMinimality:
     def test_k4(self, k4):
-        assert minimality_probe(k4, mmp(k4))
+        assert minimality_probe(k4, mmp(k4).monitors)
 
     def test_c4(self, c4):
-        assert minimality_probe(c4, mmp(c4))
+        assert minimality_probe(c4, mmp(c4).monitors)
 
     def test_budget_exhaustion(self):
         g = c_n(6)
-        trace = mmp(g)  # all six nodes become monitors
+        monitors = mmp(g).monitors  # all six nodes become monitors
         with pytest.raises(InconclusiveError):
-            minimality_probe(g, trace, budget=3)
+            minimality_probe(g, monitors, budget=3)
 
     def test_small_corpus(self):
         for i, g in enumerate(all_connected_graphs(5)):
             if i % 17:
                 continue
-            assert minimality_probe(g, mmp(g))
+            assert minimality_probe(g, mmp(g).monitors)
