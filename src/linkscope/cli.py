@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 file or parse problems, 3 violated preconditions,
 4 resource caps: the path cap of ``identify``, and measurements with more
 digits than the interpreter's limit for printing integers (checked before any
-reduction).  ``place`` does not exit at the path cap: it reports
-``"verified": null``.
+reduction).  ``place`` searches no paths; its cap counts the constructed rows
+fed and their rounds, and once it is spent before full rank ``place`` exits
+0 and reports ``"verified": null``.
 All reports are JSON on stdout; edges render as "u-v" with u < v and
 rationals as exact "p/q" strings.
 """

@@ -47,7 +47,7 @@ class NotInteriorError(LinkscopeError, ValueError):
 
 
 class PathExplosionError(LinkscopeError, RuntimeError):
-    """Raised when path enumeration would exceed the row cap.
+    """Raised when enumerating measurement paths would exceed the row cap.
 
     Truncating silently would make "unidentifiable" verdicts unsound, so the
     cap is a hard error.

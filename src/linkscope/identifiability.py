@@ -31,20 +31,20 @@ monitor paths and contributes no new rank.
 
 Enumeration grows with the number of simple paths and is capped.  Full
 identifiability has a cheaper positive proof: ``constructed_paths`` builds
-measurement paths directly from spanning trees.  ``certify_full_rank``, the
-package's one full-rank decision, feeds them to the same reducer, then every
-measurement path not yet fed, under one row budget.  A full rank on some
-real rows is a full rank of the whole matrix, so the verdict is exact as soon
-as the rank reaches the number of links; it is short only once every
-measurement path has gone in.  Placement verification uses the certificate;
-``identify`` still enumerates every path.
+measurement paths directly from spanning trees, round after round.
+``certify_full_rank``, the package's one full-rank decision, feeds them to
+the same reducer under one cap that counts rounds and rows.  A full rank on
+some real rows is a full rank of the whole matrix, so the verdict is exact
+as soon as the rank reaches the number of links; a spent cap proves nothing
+either way.  Placement verification uses the certificate and runs no path
+search; ``identify`` still enumerates every path.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from math import lcm
 from typing import Container, Iterator, Mapping, NamedTuple, Sequence
 
@@ -65,11 +65,6 @@ from .graph import (
 )
 
 DEFAULT_PATH_CAP = 100000
-
-# the rows that decided a ``certify_full_rank`` verdict
-CONSTRUCTED_PATHS = "constructed paths"
-PATH_ENUMERATION = "path enumeration"
-
 
 class MeasurementMatrix(NamedTuple):
     paths: tuple[Path, ...]
@@ -182,15 +177,7 @@ class _Reducer:
 
 
 # ---------------------------------------------------------------------------
-# path enumeration and matrix construction
-
-
-def _pair_walks(g: Graph, monitors: MonitorSet) -> Iterator[Iterator[Path]]:
-    """Per monitor pair a < b, in ascending order, the walk over the paths
-    from a to b that avoid the other monitors, in lexicographic order."""
-    ms = sorted(monitors)
-    for a, b in combinations(ms, 2):
-        yield iter_simple_paths(g, a, b, frozenset(ms) - {a, b})
+# enumerated measurement paths and matrix construction
 
 
 def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
@@ -202,9 +189,9 @@ def enumerate_monitor_paths(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_P
     if cap < 1:
         raise ValueError("cap must be positive")
     out: list[Path] = []
-    for walk in _pair_walks(g, ms):
+    for a, b in combinations(sorted(ms), 2):
         found = []
-        for p in walk:
+        for p in iter_simple_paths(g, a, b, frozenset(ms) - {a, b}):
             found.append(p)
             if len(out) + len(found) > cap:
                 raise PathExplosionError(cap)
@@ -308,10 +295,11 @@ def _neighbour_lists(g: Graph, order: list[int]) -> dict[int, list[int]]:
     return {v: sorted(g.adj[v], key=position.__getitem__) for v in order}
 
 
-def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
-    """Measurement paths built directly from spanning trees, each yielded
-    once, in the spirit of the path construction of Ma, He, Leung, Towsley
-    and Swami (ICDCS 2013).
+def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[list[Path]]:
+    """Measurement paths built directly from spanning trees, in rounds that
+    never end: each round yields the paths it built that no earlier round
+    did, possibly none.  This is the path construction of Ma, He, Leung,
+    Towsley and Swami (ICDCS 2013) without its bound.
 
     A monitor pair a < b takes one tree grown from a in G - {b, other
     monitors} and one grown from b in G - {a, other monitors}.  Each link
@@ -321,15 +309,26 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
     monitor: it is one of the paths ``enumerate_monitor_paths`` lists, in
     the same orientation.
 
-    The trees are grown in rounds.  The first four are breadth-first then
-    depth-first, with neighbours in ascending node order, then in
-    descending order; after them every round is depth-first, each tree with
-    its own order shuffled by ``random.Random(0)``.  A round joins only the
-    pairs that contain its hub monitor, the next monitor in turn: with one
-    tree per monitor, the joins of the other pairs add almost no rank, and
-    on graphs with many monitors they multiplied the rows needed.  The
-    generator ends once a whole turn of hubs (as many rounds as there are
-    monitors) builds no path it has not yielded before.
+    The first four rounds grow breadth-first then depth-first trees, with
+    neighbours in ascending node order, then in descending order; after
+    them every round is depth-first, each tree with its own order shuffled
+    by ``random.Random(0)``.  A round joins only the pairs that contain its
+    hub monitor, the next monitor in turn: with one tree per monitor, the
+    joins of the other pairs add almost no rank, and on graphs with many
+    monitors they multiplied the rows needed.
+
+    Complete in the limit: every measurement path P = (a = p0, .., pk = b)
+    is built by some round.  A depth-first tree from a whose node order
+    starts p0, .., pk descends along P, because at each pj every earlier
+    node of P is visited and p(j+1) precedes every other unvisited
+    neighbour; so its tree path to p(k-1) is P without b, and the join at
+    link (p(k-1), b) is P.  A shuffled round whose hub is a or b draws that
+    order with probability at least 1/n!, so for uniformly drawn orders P
+    is built almost surely, and the rows come to span the whole measurement
+    matrix.  By the theorem of Ma et al. (IEEE/ACM ToN 2014) that matrix has
+    full rank exactly when there are three or more monitors and the
+    extended graph is 3-vertex-connected.  The argument bounds nothing (n!
+    orders): the caller's cap, not the argument, bounds the work.
     """
     ms = sorted(validate_monitors(g, monitors, minimum=2))
     nodes = g.sorted_nodes()
@@ -339,7 +338,6 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
     keep_out = {m: set(ms) - {m} for m in ms}
     rng = random.Random(0)
     seen: set[Path] = set()
-    empty = 0
     for r in count():
         if r < 4:
             grow = _dfs_routes if r % 2 else _bfs_routes
@@ -352,7 +350,7 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
                 rng.shuffle(order)
                 trees[m] = _dfs_routes(_neighbour_lists(g, order), m, keep_out[m])
         hub = ms[r % len(ms)]
-        before = len(seen)
+        built = []
         for other in ms:
             if other == hub:
                 continue
@@ -364,55 +362,34 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[Path]:
                         p = from_a[x] + from_b[y][::-1]
                         if p not in seen and len(set(p)) == len(p):
                             seen.add(p)
-                            yield p
-        empty = empty + 1 if len(seen) == before else 0
-        if empty == len(ms):
-            return
+                            built.append(p)
+        yield built
 
 
-def _measurement_stream(g: Graph, monitors: MonitorSet) -> Iterator[tuple[Path, str]]:
-    """Each measurement path once, with the evidence it gives: the
-    constructed paths, then, per monitor pair a < b, the paths from a to b
-    that avoid the other monitors and were not constructed.  Both phases
-    orient a path from a to b, so a constructed path is skipped by value."""
-    fed = set()
-    for p in constructed_paths(g, monitors):
-        fed.add(p)
-        yield p, CONSTRUCTED_PATHS
-    for walk in _pair_walks(g, monitors):
-        for p in walk:
-            if p not in fed:
-                yield p, PATH_ENUMERATION
+def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> bool:
+    """Whether the constructed paths prove every link identifiable.
 
-
-def certify_full_rank(
-    g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
-) -> tuple[bool | None, str | None]:
-    """Whether every link is identifiable, and the rows that decided it.
-
-    Feeds the constructed paths to the exact reducer, then every measurement
-    path not already fed, until the rank reaches the number of links.  Full
-    rank on some real measurement rows is full rank of the whole path
-    matrix, and the proof is in integer arithmetic.  Returns (True,
-    "constructed paths" or "path enumeration", whichever phase fed the last
-    row), or (False, "path enumeration") once every measurement path has
-    gone in short of full rank.  Each row fed counts against ``cap``: (None,
-    None) when ``cap`` rows went in before either verdict.  ValueError when
+    Feeds the rounds of ``constructed_paths`` to the exact reducer until the
+    rank reaches the number of links: full rank on some real measurement
+    rows is full rank of the whole path matrix, and the proof is in integer
+    arithmetic.  Each round and each row fed counts once against ``cap``,
+    so the loop ends whether or not the rank can be full.  False once
+    ``cap`` is spent: "not proved", never "rank deficient".  ValueError when
     ``cap`` is not positive."""
     if cap < 1:
         raise ValueError("cap must be positive")
     cols = tuple(g.sorted_edges())
     index = _column_index(cols)
     red = _Reducer(len(cols))
-    rows = 0
-    for p, evidence in _measurement_stream(g, monitors):
-        if rows == cap:
-            return None, None
-        rows += 1
-        red.add(_row(p, index))
-        if red.rank == len(cols):
-            return True, evidence
-    return False, PATH_ENUMERATION
+    # one unit per round (None, charged before the round grows its trees)
+    # and one per row
+    units = chain.from_iterable((None, *built) for built in constructed_paths(g, monitors))
+    for _, p in zip(range(cap), units):
+        if p is not None:
+            red.add(_row(p, index))
+            if red.rank == len(cols):
+                return True
+    return False
 
 
 def simulate(

@@ -30,8 +30,10 @@ from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
 from .tomography import extend
 
 
-# the check that decided a False verdict before any rank was taken
+# the check that decided a verdict: the extended graph (False) or the rows
+# of ``certify_full_rank`` (True)
 EXTENDED_GRAPH = "extended graph"
+CONSTRUCTED_PATHS = "constructed paths"
 
 
 class TriStageRecord(NamedTuple):
@@ -139,18 +141,19 @@ def verify_placement(
     g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
 ) -> tuple[bool | None, str | None]:
     """Whether a monitor set, from ``mmp`` or any other source, makes every
-    link identifiable, and the check that decided: "extended graph",
-    "constructed paths" or "path enumeration".
+    link identifiable, and the check that decided: (False, "extended
+    graph"), (True, "constructed paths") or (None, None).
 
     The monitors are checked by ``validate_monitors``: NotFoundError for a
     node outside the graph, ValueError for a repeated id.  False when the
     extended graph is not 3-vertex-connected (or there are fewer than three
     monitors).  Otherwise the exact rank certificate (``certify_full_rank``)
-    decides, feeding at most ``cap`` rows; (None, None) means it fed ``cap``
-    rows before the rank was decided, so it gave no evidence either way."""
+    decides, spending at most ``cap`` rounds and rows; (None, None) means it
+    spent ``cap`` before the rank was full, so it gave no evidence either
+    way.  No path search runs."""
     ms = validate_monitors(g, monitors, minimum=0)
     # with fewer than three monitors the two added nodes of the extended
     # graph have fewer than three neighbours
     if len(ms) < 3 or not is_k_vertex_connected(extend(g, ms), 3):
         return False, EXTENDED_GRAPH
-    return certify_full_rank(g, ms, cap)
+    return (True, CONSTRUCTED_PATHS) if certify_full_rank(g, ms, cap) else (None, None)

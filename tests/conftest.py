@@ -6,6 +6,7 @@ from typing import Iterator
 
 import pytest
 
+from linkscope import identifiability
 from linkscope.graph import Graph, is_connected
 
 MAX_EXHAUSTIVE_NODES = 7
@@ -57,6 +58,16 @@ def path_n(n: int) -> Graph:
 
 
 @pytest.fixture
+def no_path_search(monkeypatch):
+    """Any path search of the identifiability module raises."""
+
+    def stall(*args, **kwargs):
+        raise AssertionError("ran a path search")
+
+    monkeypatch.setattr(identifiability, "iter_simple_paths", stall)
+
+
+@pytest.fixture
 def k4() -> Graph:
     return k_n(4)
 
@@ -89,4 +100,12 @@ STALL_EDGES = [
     (11, 31), (12, 17), (13, 21), (13, 25), (13, 31), (14, 16), (14, 30), (15, 17), (15, 25), (15, 28),
     (17, 32), (18, 30), (19, 20), (19, 21), (19, 25), (19, 30), (20, 22), (20, 24), (20, 26), (21, 23),
     (21, 27), (21, 28), (22, 25), (23, 27), (23, 32), (24, 29), (24, 30), (25, 27), (28, 32), (31, 32),
+]
+
+# Eleven nodes, 16 links.  mmp places monitors 1, 5 and 8; the extended graph
+# is 3-vertex-connected, and the constructed rows reach rank 16 only at row
+# 38, in round 32, long after a whole turn of rounds has built nothing new.
+G11_LINKS = [
+    (1, 5), (1, 6), (1, 11), (2, 3), (2, 6), (2, 9), (3, 4), (3, 9), (4, 7), (4, 10), (5, 7),
+    (6, 8), (6, 10), (7, 9), (7, 11), (10, 11),
 ]

@@ -20,7 +20,7 @@ from linkscope.cli import main
 from linkscope.decomposition import biconnected_components, triconnected_components
 from linkscope.graph import parse_graph, serialize
 
-from .conftest import STALL_EDGES, k_n, random_connected_graph
+from .conftest import G11_LINKS, STALL_EDGES, k_n, random_connected_graph
 
 
 @pytest.fixture
@@ -126,24 +126,11 @@ class TestPlace:
 
     def test_verified_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
         _, report = run(capsys, ["place", k4_file])
-        assert report["verified"] is True
+        assert (report["verified"], report["evidence"]) == (True, "constructed paths")
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
         code, report = run(capsys, ["place", k4_file])
         assert code == 0
-        assert report["verified"] is None
-
-    def test_evidence_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
-        _, report = run(capsys, ["place", k4_file])
-        assert report["evidence"] == "constructed paths"
-        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
-        _, report = run(capsys, ["place", k4_file])
-        assert report["evidence"] is None
-
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_nonpositive_cap_rejected(self, capsys, k4_file, monkeypatch, cap):
-        monkeypatch.setenv("LINKSCOPE_PATH_CAP", cap)
-        assert main(["place", k4_file]) == 3
-        assert "cap must be positive" in capsys.readouterr().err
+        assert (report["verified"], report["evidence"]) == (None, None)
 
     def test_stalled_input_verified_by_constructed_paths(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "stall.txt"
@@ -154,14 +141,12 @@ class TestPlace:
         assert report["verified"] is True
         assert report["evidence"] == "constructed paths"
 
-    def test_enumeration_finishes_what_the_constructed_rows_leave(self, capsys, tmp_path, monkeypatch):
-        # mmp places 1, 5 and 8 on this graph; the extended graph is
-        # 3-connected, and the constructed rows stop short of rank 16, so
-        # the measurement paths not yet fed decide, under the same cap
-        links = "1-5 1-6 1-11 2-3 2-6 2-9 3-4 3-9 4-7 4-10 5-7 6-8 6-10 7-9 7-11 10-11"
+    def test_constructed_rows_settle_g11(self, capsys, tmp_path, monkeypatch, no_path_search):
+        # mmp places 1, 5 and 8; the least cap that settles G11 is 70: 38
+        # rows fed over 32 rounds
         p = tmp_path / "g11.txt"
-        p.write_text("nodes: 11\n" + "".join(link.replace("-", " ") + "\n" for link in links.split()))
-        for cap in (None, "36", "35"):
+        p.write_text("nodes: 11\n" + "".join(f"{u} {v}\n" for u, v in G11_LINKS))
+        for cap in (None, "70", "69"):
             if cap is None:
                 monkeypatch.delenv("LINKSCOPE_PATH_CAP", raising=False)
             else:
@@ -169,10 +154,10 @@ class TestPlace:
             code, report = run(capsys, ["place", str(p)])
             assert code == 0
             assert report["monitors"] == [1, 5, 8]
-            if cap == "35":
+            if cap == "69":
                 assert (report["verified"], report["evidence"]) == (None, None)
             else:
-                assert (report["verified"], report["evidence"]) == (True, "path enumeration")
+                assert (report["verified"], report["evidence"]) == (True, "constructed paths")
 
     def test_decomposition_matches_fresh_decomposition(self, capsys, tmp_path):
         for seed in range(4):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 
 import pytest
@@ -68,24 +68,36 @@ class TestPathEnumeration:
         assert all(p[0] == 1 and p[-1] == 2 for p in paths)
 
 
+def _rounds(g, ms, n):
+    """The paths of the first n rounds of the construction."""
+    return [p for built in islice(constructed_paths(g, ms), n) for p in built]
+
+
 class TestConstructedPaths:
     def test_k4_three_monitors(self, k4):
-        paths = list(constructed_paths(k4, (3, 1, 2)))
+        paths = _rounds(k4, (3, 1, 2), 2)
         assert sorted(paths) == sorted(enumerate_monitor_paths(k4, (1, 2, 3)))
-        assert certify_full_rank(k4, (1, 2, 3)) == (True, "constructed paths")
+        assert certify_full_rank(k4, (1, 2, 3)) is True
 
-    def test_shortfall_goes_on_to_enumeration(self, triangle):
-        # two monitors never identify the far link: the construction ends
-        # short, and once the enumeration finds no path it has not fed, the
-        # shortfall is a verdict
-        assert sorted(constructed_paths(triangle, (1, 2))) == enumerate_monitor_paths(triangle, (1, 2))
-        assert certify_full_rank(triangle, (1, 2)) == (False, "path enumeration")
-        assert certify_full_rank(triangle, (1, 2), cap=2) == (False, "path enumeration")
+    def test_rounds_go_on_after_an_empty_turn(self, triangle):
+        # both measurement paths come in the first round; the rounds after
+        # it build nothing, and the generator does not end
+        rounds = list(islice(constructed_paths(triangle, (1, 2)), 50))
+        assert sorted(rounds[0]) == enumerate_monitor_paths(triangle, (1, 2))
+        assert rounds[1:] == [[]] * 49
+
+    def test_shortfall_is_not_proved(self, triangle):
+        # two monitors never identify the far link: the rank stays short, so
+        # the rounds go on until the cap is spent, and False means only that
+        # nothing was proved
+        assert certify_full_rank(triangle, (1, 2), cap=2) is False
+        assert certify_full_rank(triangle, (1, 2), cap=50) is False
 
     def test_rows_count_against_cap(self, k4):
-        # K4 with monitors 1, 2 and 3 needs all six constructed rows
-        assert certify_full_rank(k4, (1, 2, 3), cap=5) == (None, None)
-        assert certify_full_rank(k4, (1, 2, 3), cap=6) == (True, "constructed paths")
+        # K4 with monitors 1, 2 and 3 needs all six constructed rows, from
+        # two rounds: eight units of the cap
+        assert certify_full_rank(k4, (1, 2, 3), cap=7) is False
+        assert certify_full_rank(k4, (1, 2, 3), cap=8) is True
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_nonpositive_cap_rejected(self, k4, cap):
@@ -96,27 +108,29 @@ class TestConstructedPaths:
         # every connected graph on 3-6 nodes, with the placement's monitors
         # and a seeded monitor set of two, three or four nodes in turn
         rng = random.Random(7)
-        proved = placements = 0
+        full = placements = 0
         for n in range(3, 7):
             for g in all_connected_graphs(n):
                 placement = mmp(g).monitors
                 seeded = tuple(rng.sample(g.sorted_nodes(), min(2 + placements % 3, n)))
                 for ms in (placement, seeded):
                     paths = enumerate_monitor_paths(g, ms)
-                    built = list(constructed_paths(g, ms))
+                    built = _rounds(g, ms, len(ms))
                     assert len(set(built)) == len(built)
                     assert set(built) <= set(paths), (sorted(g.edges), ms)
-                    verdict, evidence = certify_full_rank(g, ms)
-                    assert verdict == identifiable_links(build_matrix(g, paths)).fully_identifiable
-                    if evidence == "constructed paths":
-                        proved += 1
-                    elif ms is placement:
-                        # the construction alone is complete where the
-                        # sufficiency theorem applies
-                        assert not is_k_vertex_connected(extend(g, ms), 3), sorted(g.edges)
+                    oracle = identifiable_links(build_matrix(g, paths)).fully_identifiable
+                    # the sufficiency and necessity theorem for three or
+                    # more monitors, against the enumerated rank oracle
+                    theorem = len(ms) >= 3 and is_k_vertex_connected(extend(g, ms), 3)
+                    assert oracle == theorem, (sorted(g.edges), ms)
+                    if oracle:
+                        full += 1
+                        assert certify_full_rank(g, ms) is True, (sorted(g.edges), ms)
+                    else:
+                        assert certify_full_rank(g, ms, cap=16) is False
                 placements += 1
         assert placements == 27474
-        assert proved > placements
+        assert full == 32070
 
 
 class TestMatrix:

@@ -4,15 +4,14 @@ import pytest
 
 from linkscope.errors import DisconnectedError, InconclusiveError, NotFoundError, TooSmallError
 from linkscope.graph import Graph
-from linkscope import identifiability
 from linkscope.placement import mmp, verify_placement
 
-from .conftest import STALL_EDGES, all_connected_graphs, c_n, path_n, random_connected_graph
+from .conftest import G11_LINKS, STALL_EDGES, all_connected_graphs, c_n, path_n, random_connected_graph
 from .oracles import minimality_probe
 
 # Nine nodes, 22 links.  With monitors 1, 2, 3, 4, 7 and 9 the extended graph
-# is 3-vertex-connected, yet the rows constructed from spanning trees stop
-# short of rank 22: the measurement paths not yet fed finish the certificate.
+# is 3-vertex-connected; the constructed rows reach rank 22 only at row 50,
+# in round 14, after a whole turn of rounds has built nothing new.
 G9_LINKS = [
     (1, 4), (1, 5), (1, 7), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
     (3, 4), (3, 6), (3, 9), (4, 5), (4, 6), (4, 9), (5, 6), (5, 9), (6, 7), (6, 8), (8, 9),
@@ -116,21 +115,23 @@ class TestVerification:
         assert verify_placement(k4, (1, 2)) == (False, "extended graph")
         assert verify_placement(k4, monitors, cap=1) == (None, None)
 
-    def test_enumeration_decides_when_constructed_paths_fall_short(self):
-        # the extended graph is 3-connected and the constructed rows fall
-        # short; the enumerated rows that finish the rank share their cap
+    def test_constructed_rows_settle_g9(self):
+        # the least cap that settles G9 is 64: 50 rows fed over 14 rounds
         g = Graph(range(1, 10), G9_LINKS)
         monitors = (1, 2, 3, 4, 7, 9)
-        assert verify_placement(g, monitors, cap=50) == (True, "path enumeration")
-        assert verify_placement(g, monitors, cap=49) == (None, None)
+        assert verify_placement(g, monitors) == (True, "constructed paths")
+        assert verify_placement(g, monitors, cap=64) == (True, "constructed paths")
+        assert verify_placement(g, monitors, cap=63) == (None, None)
 
-    def test_stalled_input_needs_no_enumeration(self, monkeypatch):
-        def stall(*args, **kwargs):
-            raise AssertionError("fell back to path enumeration")
-
-        monkeypatch.setattr(identifiability, "iter_simple_paths", stall)
-        g = Graph(range(1, 33), STALL_EDGES)
-        assert verify_placement(g, mmp(g).monitors, cap=2000) == (True, "constructed paths")
+    @pytest.mark.parametrize(
+        "links, nodes, monitors",
+        [(STALL_EDGES, 32, None), (G9_LINKS, 9, (1, 2, 3, 4, 7, 9)), (G11_LINKS, 11, None)],
+        ids=["stall", "g9", "g11"],
+    )
+    def test_stalled_input_needs_no_enumeration(self, no_path_search, links, nodes, monitors):
+        g = Graph(range(1, nodes + 1), links)
+        monitors = monitors or mmp(g).monitors
+        assert verify_placement(g, monitors, cap=2000) == (True, "constructed paths")
 
 
 class TestMinimality:
