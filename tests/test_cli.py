@@ -132,6 +132,13 @@ class TestPlace:
         assert code == 0
         assert (report["verified"], report["evidence"]) == (None, None)
 
+    def test_evidence_null_when_cap_stops_rank_oracle(self, capsys, k4_file, monkeypatch):
+        _, report = run(capsys, ["place", k4_file])
+        assert report["evidence"] == "constructed paths"
+        monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
+        _, report = run(capsys, ["place", k4_file])
+        assert report["evidence"] is None
+
     def test_stalled_input_verified_by_constructed_paths(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "stall.txt"
         p.write_text("".join(f"{u} {v}\n" for u, v in STALL_EDGES))
