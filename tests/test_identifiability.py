@@ -115,7 +115,9 @@ class TestConstructedPaths:
                 seeded = tuple(rng.sample(g.sorted_nodes(), min(2 + placements % 3, n)))
                 for ms in (placement, seeded):
                     paths = enumerate_monitor_paths(g, ms)
-                    built = _rounds(g, ms, len(ms))
+                    # the four fixed-order rounds, then two shuffled turns of
+                    # hubs: every instance checks the shuffled trees too
+                    built = _rounds(g, ms, 4 + 2 * len(ms))
                     assert len(set(built)) == len(built)
                     assert set(built) <= set(paths), (sorted(g.edges), ms)
                     oracle = identifiable_links(build_matrix(g, paths)).fully_identifiable
