@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 file or parse problems, 3 violated preconditions,
 4 resource caps: the path cap of ``identify``, and measurements with more
 digits than the interpreter's limit for printing integers (checked before any
 reduction).  ``place`` searches no paths; its cap counts the constructed rows
-fed and their rounds, and once it is spent before full rank ``place`` exits
-0 and reports ``"verified": null``.
+fed and their rounds, and once it is spent before full rank
+``verify_placement`` gives None: ``place`` exits 0 and reports
+``"verified": null``.
 All reports are JSON on stdout; edges render as "u-v" with u < v and
 rationals as exact "p/q" strings.
 """
@@ -50,6 +51,9 @@ EXIT_IO = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
+# the check that decided each ``verify_placement`` verdict
+_EVIDENCE = {True: "constructed paths", False: "extended graph", None: None}
+
 
 def _edge_str(e) -> str:
     return f"{e[0]}-{e[1]}"
@@ -60,7 +64,8 @@ def _edges_json(edges) -> list[str]:
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # "utf-8-sig" drops a leading byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())
 
 
@@ -83,7 +88,7 @@ def _parse_link(text: str):
 
 def _load_weights(path: str) -> dict:
     mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -165,7 +170,7 @@ def _cmd_place(args) -> int:
     g = _load_graph(args.graph)
     cap = _default_cap()  # a bad value exits before the placement runs
     trace = mmp(g, args.seed)
-    verified, evidence = verify_placement(g, trace.monitors, cap=cap)
+    verified = verify_placement(g, trace.monitors, cap=cap)
     decomposition = []
     for block, comps in trace.decomposition:
         entry = {
@@ -189,7 +194,7 @@ def _cmd_place(args) -> int:
         "monitors": list(trace.monitors),
         "k_min": trace.k_min,
         "verified": verified,
-        "evidence": evidence,
+        "evidence": _EVIDENCE[verified],
         "tiebreak": {"policy": "lowest" if args.seed is None else "seeded", "seed": args.seed},
         "stage1_degree_monitors": sorted(trace.stage1_degree_monitors),
         "per_triconnected": [

@@ -10,6 +10,10 @@ monitor count is raised to three.  Component processing order is canonical
 component is processed.  Without a seed each stage takes the lowest-id
 eligible nodes, so the procedure is a pure function of the graph; a seed
 makes the stages sample them with ``random.Random(seed)``.
+
+``verify_placement`` rests on two checks (Ma et al., IEEE/ACM ToN 2014): a
+monitor set whose extended graph is not 3-vertex-connected fails, and one
+whose constructed rows reach full rank makes every link identifiable.
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ from .errors import InfeasibleStageError, TooSmallError
 from .graph import Graph, MonitorSet, validate_monitors
 from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
 from .tomography import extend
-
-
-# the check that decided a verdict: the extended graph (False) or the rows
-# of ``certify_full_rank`` (True)
-EXTENDED_GRAPH = "extended graph"
-CONSTRUCTED_PATHS = "constructed paths"
 
 
 class TriStageRecord(NamedTuple):
@@ -137,23 +135,17 @@ def mmp(g: Graph, seed: int | None = None) -> PlacementTrace:
     )
 
 
-def verify_placement(
-    g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
-) -> tuple[bool | None, str | None]:
+def verify_placement(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> bool | None:
     """Whether a monitor set, from ``mmp`` or any other source, makes every
-    link identifiable, and the check that decided: (False, "extended
-    graph"), (True, "constructed paths") or (None, None).
-
-    The monitors are checked by ``validate_monitors``: NotFoundError for a
-    node outside the graph, ValueError for a repeated id.  False when the
-    extended graph is not 3-vertex-connected (or there are fewer than three
-    monitors).  Otherwise the exact rank certificate (``certify_full_rank``)
-    decides, spending at most ``cap`` rounds and rows; (None, None) means it
-    spent ``cap`` before the rank was full, so it gave no evidence either
-    way.  No path search runs."""
+    link identifiable: False when there are fewer than three monitors or the
+    extended graph is not 3-vertex-connected; otherwise True once the exact
+    rank certificate (``certify_full_rank``) reaches full rank, and None when
+    it spends ``cap`` rounds and rows first (no evidence either way).  The
+    monitors are checked by ``validate_monitors``: NotFoundError for a node
+    outside the graph, ValueError for a repeated id.  No path search runs."""
     ms = validate_monitors(g, monitors, minimum=0)
     # with fewer than three monitors the two added nodes of the extended
     # graph have fewer than three neighbours
     if len(ms) < 3 or not is_k_vertex_connected(extend(g, ms), 3):
-        return False, EXTENDED_GRAPH
-    return (True, CONSTRUCTED_PATHS) if certify_full_rank(g, ms, cap) else (None, None)
+        return False
+    return certify_full_rank(g, ms, cap) or None

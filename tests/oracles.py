@@ -226,7 +226,7 @@ def minimality_probe(
             else:
                 full = identifiable_links(build_matrix(g, paths)).fully_identifiable
         else:
-            full = verify_placement(g, candidate, cap)[0]
+            full = verify_placement(g, candidate, cap)
         if full is None:
             raise InconclusiveError("path cap hit while probing a candidate set")
         if full:

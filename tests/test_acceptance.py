@@ -191,7 +191,7 @@ def _placement_worker(batch: list[tuple]) -> dict:
         g = Graph(edges=edges)
         out["graphs"] += 1
         monitors = mmp(g).monitors
-        if verify_placement(g, monitors, cap=SCAN_CAP)[0]:
+        if verify_placement(g, monitors, cap=SCAN_CAP):
             out["verified"] += 1
         else:
             out["failures"].append(("verify", sorted(g.edges)))
@@ -269,7 +269,7 @@ class TestAcceptance:
         assert placement_scan["verified"] == placement_scan["graphs"], placement_scan["failures"]
         randoms = _random_placement_instances()
         for g in randoms:
-            assert verify_placement(g, mmp(g).monitors, cap=SCAN_CAP)[0], sorted(g.edges)
+            assert verify_placement(g, mmp(g).monitors, cap=SCAN_CAP), sorted(g.edges)
         assert (placement_scan["graphs"], len(randoms)) == (27474, 300)
         print(
             f"\nC1 placement sufficiency: PASS "

@@ -23,10 +23,13 @@ from linkscope.graph import parse_graph, serialize
 from .conftest import G11_LINKS, STALL_EDGES, k_n, random_connected_graph
 
 
+K4_TEXT = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+
+
 @pytest.fixture
 def k4_file(tmp_path):
     p = tmp_path / "k4.txt"
-    p.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    p.write_text(K4_TEXT)
     return str(p)
 
 
@@ -138,6 +141,18 @@ class TestPlace:
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
         _, report = run(capsys, ["place", k4_file])
         assert report["evidence"] is None
+
+    @pytest.mark.parametrize(
+        "verdict, evidence",
+        [(True, "constructed paths"), (False, "extended graph"), (None, None)],
+        ids=["true", "false", "none"],
+    )
+    def test_evidence_names_each_verdict(self, capsys, k4_file, monkeypatch, verdict, evidence):
+        # no real input reaches "extended graph": mmp's placements pass that test
+        monkeypatch.setattr(cli, "verify_placement", lambda *args, **kwargs: verdict)
+        code, report = run(capsys, ["place", k4_file])
+        assert code == 0
+        assert (report["verified"], report["evidence"]) == (verdict, evidence)
 
     def test_stalled_input_verified_by_constructed_paths(self, capsys, tmp_path, monkeypatch):
         p = tmp_path / "stall.txt"
@@ -318,6 +333,25 @@ class TestHostileInput:
         w = tmp_path / "w.txt"
         w.write_bytes(b"1 2 1\n1 3 \xff\n")
         assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 2
+
+    @pytest.mark.parametrize("text", [K4_TEXT, "nodes: 4\n" + K4_TEXT], ids=["edges", "header"])
+    def test_bom_graph_file(self, capsys, tmp_path, text):
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            p = tmp_path / "g.txt"
+            p.write_bytes(prefix + text.encode())
+            assert main(["check", str(p), "--monitors", "1,2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_bom_weights_file(self, capsys, tri_file, tmp_path):
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            w = tmp_path / "w.txt"
+            w.write_bytes(prefix + b"1 2 1\n1 3 5/2\n2 3 1\n")
+            assert main(["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("value", ["1e5000", "2E-3", "1.5e2"])
     def test_exponent_weight_rejected(self, capsys, tri_file, tmp_path, value):
