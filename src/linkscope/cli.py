@@ -104,6 +104,8 @@ def _load_weights(path: str) -> dict:
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise GraphParseError(f"malformed weight line {line!r}", lineno) from None
+            if u < 0 or v < 0:
+                raise GraphParseError("node ids must be non-negative", lineno)
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u}", lineno)
             link = edge(u, v)

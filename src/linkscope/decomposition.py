@@ -2,19 +2,36 @@
 
 The triconnected decomposition splits a block at separation pairs until no
 piece can be split further, inserting a virtual edge between the pair in each
-side, then merges series polygons back together.  The canonical form produced
-here has no bond components: a separation pair shared by k sides simply
-appears as k copies of the pair edge (virtual in all sides but at most one).
-When the pair is an actual graph edge, that edge is assigned to the
-canonically smallest component attached to the pair, and the others keep a
-virtual copy.  Every split side is a non-empty piece plus the pair, so no
-component has fewer than three nodes.
+side, then fuses series polygons.  The canonical form produced here has no
+bond components: a separation pair shared by k sides simply appears as k
+copies of the pair edge (virtual in all sides but at most one).  When the
+pair is an actual graph edge, that edge is assigned to the canonically
+smallest component attached to the pair, and the others keep a virtual copy.
+Every split side is a non-empty piece plus the pair, so no component has
+fewer than three nodes.
+
+Every piece is biconnected, so a piece with as many edges as nodes is a
+cycle, and it is kept whole, with no separation-pair scan.  Its separation
+pairs are its non-adjacent node pairs.  Such a pair is not a graph edge (the
+cycle has no chord), and no other piece holds it as a pair edge (pieces of
+different branches share only the pair they were split at, which is an edge
+of both).  Split into triangles, the cycle would only be fused back.  Every
+other piece is split until it is 3-connected (rigid) or a cycle.
+
+One pass then fuses the polygons.  Two polygons are joined by a pair edge
+that both hold, that no third piece holds, and that is not a graph edge
+awaiting assignment.  The split components and their pair edges form a tree
+(Hopcroft & Tarjan, SIAM J. Comput. 1973), so each group of joined polygons
+is a subtree of cycles; one reachability walk over the joins finds it.
+Gluing two cycles along a shared edge and dropping that edge leaves a cycle,
+so each group closes into one polygon.  Its virtual edges are those of the
+group minus its joins.
 
 Split order does not affect the result: the rigid (3-connected) pieces are
-unique, and the polygon merge closes any chain of cycle fragments back into
-the maximal polygon.  Each split takes the lexicographically first separation
-pair {a, b}: every piece is biconnected, so {a, b} separates it exactly when
-b is a cut vertex of piece - a, and the pair comes from the smallest a whose
+unique, and the fusion closes any chain of cycle fragments into the maximal
+polygon.  Each split takes the lexicographically first separation pair
+{a, b}: every piece is biconnected, so {a, b} separates it exactly when b is
+a cut vertex of piece - a, and the pair comes from the smallest a whose
 deletion leaves a cut vertex, with the smallest such b.  That is the first
 failing deletion of the 3-vertex-connectivity scan (`connectivity._separation`),
 so the split and the connectivity test read one scan.  Blocks and their cut
@@ -86,16 +103,6 @@ def _piece_adj(nodes: frozenset[int], edges: set[Edge]) -> dict[int, set[int]]:
     return adj
 
 
-def _is_polygon(nodes: frozenset[int], edges: set[Edge]) -> bool:
-    if len(edges) != len(nodes) or len(nodes) < 3:
-        return False
-    adj = _piece_adj(nodes, edges)
-    if any(len(ns) != 2 for ns in adj.values()):
-        return False
-    # degree-2 everywhere with |E| == |V|: a single cycle iff connected
-    return len(reachable(adj, (min(nodes),), ())) == len(nodes)
-
-
 def _comp_key(piece: tuple[frozenset[int], set[Edge], set[Edge]]):
     nodes, real, virtual = piece
     return (sorted(nodes), sorted(real), sorted(virtual))
@@ -104,10 +111,13 @@ def _comp_key(piece: tuple[frozenset[int], set[Edge], set[Edge]]):
 def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedComponent]:
     """Canonical triconnected components of a block with at least 3 nodes.
     The block alone is read: its nodes, edges and the host graph's cut
-    vertices inside it.  ValueError unless its nodes and edges form one
-    biconnected piece."""
+    vertices inside it.  ValueError unless every edge is (u, v) with u < v
+    and both ends among its nodes, and together they form one biconnected
+    piece."""
     if len(b.nodes) < 3:
         raise ValueError("triconnected decomposition needs a block of >= 3 nodes")
+    if not all(u < v and u in b.nodes and v in b.nodes for u, v in b.edges):
+        raise ValueError("block edges must be (u, v) with u < v, both ends among its nodes")
     if [len(block) for block in _lowpoint(_piece_adj(b.nodes, b.edges))[2]] != [len(b.nodes)]:
         raise ValueError("component is not biconnected")
 
@@ -119,7 +129,8 @@ def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedCompone
     while work:
         nodes, real, virtual = work.pop()
         adj = _piece_adj(nodes, real | virtual)
-        found = _separation(adj, 3)
+        # a biconnected piece with |E| = |V| is a cycle: kept whole
+        found = None if len(real | virtual) == len(nodes) else _separation(adj, 3)
         if found is None:
             atoms.append((nodes, real, virtual))
             continue
@@ -128,47 +139,41 @@ def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedCompone
         if pair_edge in real:
             pending.add(pair_edge)
             real = real - {pair_edge}
-        comps: list[set[int]] = []
         seen: set[int] = set()
         for s in sorted(nodes - {a, bb}):
             if s in seen:
                 continue
-            comp = reachable(adj, (s,), (a, bb))
-            seen |= comp
-            comps.append(comp)
-        for comp in comps:
-            side_nodes = frozenset(comp | {a, bb})
-            side_real = {e for e in real if e[0] in side_nodes and e[1] in side_nodes}
-            side_virtual = {e for e in virtual if e[0] in side_nodes and e[1] in side_nodes}
-            side_virtual.add(pair_edge)
-            work.append((side_nodes, side_real, side_virtual))
+            side = reachable(adj, (s,), (a, bb))
+            seen |= side
+            side |= {a, bb}
+            side_real = {e for e in real if e[0] in side and e[1] in side}
+            side_virtual = {e for e in virtual if e[0] in side and e[1] in side}
+            work.append((frozenset(side), side_real, side_virtual | {pair_edge}))
 
-    # merge chains of polygons: a pair edge shared by exactly two polygon
-    # atoms (and not pending as a real edge) is a series join
-    merged = True
-    while merged:
-        merged = False
-        users: dict[Edge, list[int]] = {}
-        for idx, (_, _, virtual) in enumerate(atoms):
-            for e in virtual:
-                users.setdefault(e, []).append(idx)
-        for e in sorted(users):
-            if e in pending or len(users[e]) != 2:
-                continue
-            i, j = users[e]
-            ni, ri, vi = atoms[i]
-            nj, rj, vj = atoms[j]
-            if not (_is_polygon(ni, ri | vi) and _is_polygon(nj, rj | vj)):
-                continue
-            fused_nodes = ni | nj
-            fused_real = ri | rj
-            fused_virtual = (vi | vj) - {e}
-            if not _is_polygon(fused_nodes, fused_real | fused_virtual):
-                raise AssertionError("polygon merge produced a non-polygon")
-            atoms = [p for k, p in enumerate(atoms) if k not in (i, j)]
-            atoms.append((fused_nodes, fused_real, fused_virtual))
-            merged = True
-            break
+    # fuse the polygons (|E| = |V|) joined by a pair edge that both hold, no
+    # third atom holds, and that is not pending, in one pass; each group
+    # closes into one polygon (see the module docstring)
+    users: dict[Edge, list[int]] = {}
+    for i, (_, _, virtual) in enumerate(atoms):
+        for e in virtual:
+            users.setdefault(e, []).append(i)
+    polygons = {i for i, (nodes, real, virtual) in enumerate(atoms) if len(real | virtual) == len(nodes)}
+    joins = {e for e, holders in users.items() if len(holders) == 2 and polygons.issuperset(holders)} - pending
+    joined: dict[int, list[int]] = {i: [] for i in range(len(atoms))}
+    for e in joins:
+        i, j = users[e]
+        joined[i].append(j)
+        joined[j].append(i)
+    fused = []
+    grouped: set[int] = set()
+    for i in joined:
+        if i in grouped:
+            continue
+        group = reachable(joined, (i,), ())
+        grouped |= group
+        ns, rs, vs = zip(*(atoms[k] for k in group))
+        fused.append((frozenset().union(*ns), set().union(*rs), set().union(*vs) - joins))
+    atoms = fused
 
     # hand each pending real pair edge to the canonically smallest component
     # attached to its pair; the rest keep the virtual copy (splits leave it
@@ -178,6 +183,7 @@ def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedCompone
         target = min(holders, key=lambda i: _comp_key(atoms[i]))
         nodes, real, virtual = atoms[target]
         atoms[target] = (nodes, real | {e}, virtual - {e})
+    atoms.sort(key=_comp_key)
 
     out = []
     for nodes, real, virtual in atoms:
@@ -191,6 +197,5 @@ def triconnected_components(b: BiconnectedComponent) -> list[TriconnectedCompone
                 separation_vertices=frozenset(sep),
             )
         )
-    out.sort(key=lambda t: (sorted(t.nodes), sorted(t.real_edges), sorted(t.virtual_edges)))
     return out
 

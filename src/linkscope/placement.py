@@ -142,7 +142,10 @@ def verify_placement(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
     rank certificate (``certify_full_rank``) reaches full rank, and None when
     it spends ``cap`` rounds and rows first (no evidence either way).  The
     monitors are checked by ``validate_monitors``: NotFoundError for a node
-    outside the graph, ValueError for a repeated id.  No path search runs."""
+    outside the graph, ValueError for a repeated id.  ValueError when ``cap``
+    is not positive, whatever the monitors.  No path search runs."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
     ms = validate_monitors(g, monitors, minimum=0)
     # with fewer than three monitors the two added nodes of the extended
     # graph have fewer than three neighbours

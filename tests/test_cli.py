@@ -366,8 +366,9 @@ class TestHostileInput:
             ("1 3", "error: line 2: expected 'u v value', got '1 3'\n"),
             ("1 3 x/y", "error: line 2: malformed weight line '1 3 x/y'\n"),
             ("1 3 1/0", "error: line 2: malformed weight line '1 3 1/0'\n"),
+            ("-1 3 1", "error: line 2: node ids must be non-negative\n"),
         ],
-        ids=["two-fields", "malformed-value", "zero-denominator"],
+        ids=["two-fields", "malformed-value", "zero-denominator", "negative-id"],
     )
     def test_bad_weight_line(self, capsys, tri_file, tmp_path, line, err):
         w = tmp_path / "w.txt"

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from linkscope import decomposition
 from linkscope.connectivity import _separation, cut_vertices
 from linkscope.decomposition import BiconnectedComponent, biconnected_components, triconnected_components
 from linkscope.errors import DisconnectedError
-from linkscope.graph import Graph, is_connected
+from linkscope.graph import Graph, edge, is_connected
 
-from .conftest import all_connected_graphs, c_n, path_n, random_connected_graph
+from .conftest import all_connected_graphs, c_n, k_n, path_n, random_connected_graph
 from .oracles import brute_blocks, first_separation_pair, reference_split_components
 
 
@@ -16,6 +19,34 @@ def two_k4s_sharing_edge() -> Graph:
     return Graph(
         edges=[(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 5), (1, 6), (2, 5), (2, 6), (5, 6)]
     )
+
+
+PETERSEN = Graph(
+    edges=[(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+)
+
+
+def subdivided(g: Graph, seed: int) -> tuple[Graph, frozenset[int], dict]:
+    """g with each edge, in sorted order, replaced by a chain of 1-8 links
+    drawn from random.Random(seed), and every node relabeled by a seeded
+    shuffle of 1..n, so that chain nodes and base nodes interleave in the
+    split's pair order and chains are cut into fragments that must be
+    fused.  Also returns the base nodes and the number of links of each base
+    edge, both under the new labels."""
+    rng = random.Random(seed)
+    links = {e: rng.randint(1, 8) for e in sorted(g.edges)}
+    labels = list(range(1, g.node_count + sum(links.values()) - len(links) + 1))
+    rng.shuffle(labels)
+    new = dict(zip(sorted(g.nodes), labels))
+    fresh = iter(labels[g.node_count :])
+    edges, chains = [], {}
+    for (u, v), k in links.items():
+        chain = [new[u], *(next(fresh) for _ in range(k - 1)), new[v]]
+        edges += zip(chain, chain[1:])
+        chains[edge(new[u], new[v])] = k
+    return Graph(edges=edges), frozenset(new.values()), chains
 
 
 class TestBlocks:
@@ -104,6 +135,49 @@ class TestTriconnected:
         g = Graph(edges=links)
         with pytest.raises(ValueError, match="^component is not biconnected$"):
             triconnected_components(BiconnectedComponent(g.nodes, g.edges, frozenset()))
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [(1, 2), (1, 3), (2, 3), (3, 4)],
+            [(1, 2), (1, 3), (2, 3), (3, 3)],
+            [(1, 2), (1, 3), (2, 3), (2, 1)],
+        ],
+        ids=["end-outside-nodes", "self-loop", "reversed-duplicate"],
+    )
+    def test_malformed_block_edges_rejected(self, links):
+        block = BiconnectedComponent(frozenset({1, 2, 3}), frozenset(links), frozenset())
+        with pytest.raises(ValueError, match=r"^block edges must be \(u, v\) with u < v, both ends among its nodes$"):
+            triconnected_components(block)
+
+    def test_cycle_is_kept_whole(self, monkeypatch):
+        # a cycle block is one polygon without a separation-pair scan
+        def no_scan(*args):
+            raise AssertionError("a cycle piece was scanned for separation pairs")
+
+        monkeypatch.setattr(decomposition, "_separation", no_scan)
+        g = c_n(50)
+        comps = triconnected_components(biconnected_components(g)[0])
+        assert [(c.nodes, c.real_edges, c.virtual_edges, c.s_t) for c in comps] == [
+            (g.nodes, g.edges, frozenset(), 0)
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("base", [k_n(4), k_n(5), PETERSEN], ids=["k4", "k5", "petersen"])
+    def test_subdivided_rigid_graph(self, base, seed):
+        """A 3-connected graph with each edge subdivided into 1-8 links is one
+        rigid component on the base nodes, plus one polygon of L + 1 nodes,
+        closed by the virtual base edge, per base edge of L >= 2 links."""
+        g, base_nodes, links = subdivided(base, seed)
+        block = biconnected_components(g)[0]
+        comps = triconnected_components(block)
+        chains = sorted(e for e, k in links.items() if k >= 2)
+        rigid = [c for c in comps if len(c.real_edges) + len(c.virtual_edges) > len(c.nodes)]
+        assert [(c.nodes, sorted(c.virtual_edges)) for c in rigid] == [(base_nodes, chains)]
+        polygons = sorted((sorted(c.virtual_edges), len(c.nodes)) for c in comps if c not in rigid)
+        assert polygons == [([e], links[e] + 1) for e in chains]
+        got = {(c.nodes, c.real_edges, c.virtual_edges) for c in comps}
+        assert got == set(reference_split_components(block.nodes, block.edges))
 
     def test_separation_vertices_examples(self, k4):
         block = biconnected_components(k4)[0]

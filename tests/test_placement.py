@@ -104,6 +104,12 @@ class TestVerification:
         with pytest.raises(NotFoundError):
             verify_placement(k4, (1, 9))
 
+    @pytest.mark.parametrize("monitors", [(1, 2), (1, 2, 3)], ids=["two", "three"])
+    def test_nonpositive_cap_rejected_up_front(self, k4, monitors):
+        # checked before the monitors, as certify_full_rank checks it
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            verify_placement(k4, monitors, cap=0)
+
     def test_verified_on_random_graphs(self):
         for seed in range(12):
             g = random_connected_graph(6 + seed % 4, 0.45, 900 + seed)
