@@ -7,8 +7,12 @@ reduction).  ``place`` searches no paths; its cap counts the constructed rows
 fed and their rounds, and once it is spent before full rank
 ``verify_placement`` gives None: ``place`` exits 0 and reports
 ``"verified": null``.
-All reports are JSON on stdout; edges render as "u-v" with u < v and
-rationals as exact "p/q" strings.
+All reports are JSON on stdout, built from the library's own records and
+rendered by one rule, ``_plain``, the encoder's hook: a set prints as its
+sorted members, a link (u, v) with u < v as "u-v", and a rational as its
+exact "p/q" string ("p" when it is an integer).  JSON writes a tuple as a
+list without calling the hook, so the two links that stand alone, a
+``recovered`` key and a witness's ``link``, take ``_edge_str`` directly.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .errors import (
     PathExplosionError,
     SelfLoopError,
 )
-from .graph import Graph, edge, parse_graph, reachable, serialize, validate_monitors
+from .graph import Graph, edge, parse_graph, parse_int, reachable, serialize, validate_monitors
 from .identifiability import (
     DEFAULT_PATH_CAP,
     build_matrix,
@@ -59,8 +63,15 @@ def _edge_str(e) -> str:
     return f"{e[0]}-{e[1]}"
 
 
-def _edges_json(edges) -> list[str]:
-    return [_edge_str(e) for e in sorted(edges)]
+def _plain(obj):
+    """The report form of what JSON has no form for: a set is its sorted
+    members, each link as "u-v", and a Fraction is its exact string.  Any
+    other type is a TypeError, so no value reaches a report unrendered."""
+    if isinstance(obj, (set, frozenset)):
+        return [_edge_str(x) if isinstance(x, tuple) else x for x in sorted(obj)]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"no report form for {type(obj).__name__}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -71,7 +82,7 @@ def _load_graph(path: str) -> Graph:
 
 def _parse_monitors(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(parse_int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise GraphParseError(f"malformed monitor list {text!r}") from None
 
@@ -81,7 +92,7 @@ def _parse_link(text: str):
     if len(parts) != 2:
         raise GraphParseError(f"malformed link {text!r}, expected 'u-v'")
     try:
-        return edge(int(parts[0]), int(parts[1]))
+        return edge(parse_int(parts[0]), parse_int(parts[1]))
     except ValueError:
         raise GraphParseError(f"malformed link {text!r}") from None
 
@@ -99,8 +110,11 @@ def _load_weights(path: str) -> dict:
             if "e" in parts[2].lower():
                 # Fraction would build 10**exponent with no bound on its size
                 raise GraphParseError(f"exponent not allowed in weight {parts[2]!r}", lineno)
+            if "_" in parts[2] or not parts[2].isascii():
+                # Fraction reads digit-group underscores and non-ASCII digits
+                raise GraphParseError(f"malformed weight line {line!r}", lineno)
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = parse_int(parts[0]), parse_int(parts[1])
                 value = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise GraphParseError(f"malformed weight line {line!r}", lineno) from None
@@ -120,7 +134,7 @@ def _default_cap() -> int:
     if env is None:
         return DEFAULT_PATH_CAP
     try:
-        cap = int(env)
+        cap = parse_int(env)
     except ValueError:
         raise GraphParseError(f"bad LINKSCOPE_PATH_CAP value {env!r}") from None
     if cap < 1:
@@ -129,7 +143,7 @@ def _default_cap() -> int:
 
 
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=_plain))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +154,10 @@ def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     monitors = validate_monitors(g, _parse_monitors(args.monitors), minimum=2)
     report: dict = {
-        "graph": {"nodes": sorted(g.nodes), "edges": _edges_json(g.edges)},
-        "monitors": list(monitors),
-        "bridges": _edges_json(bridges(g)),
-        "cut_vertices": sorted(cut_vertices(g)),
+        "graph": {"nodes": g.nodes, "edges": g.edges},
+        "monitors": monitors,
+        "bridges": bridges(g),
+        "cut_vertices": cut_vertices(g),
         "vertex_connectivity": vertex_connectivity(g),
     }
     if len(monitors) == 2:
@@ -158,7 +172,7 @@ def _cmd_check(args) -> int:
         report["interior_connected"] = not interior or len(
             reachable(g.adj, (min(interior),), monitors)
         ) == len(interior)
-        report["exterior_links"] = _edges_json([e for e in g.edges if m1 in e or m2 in e])
+        report["exterior_links"] = {e for e in g.edges if m1 in e or m2 in e}
     else:
         lhs5, rhs5 = prop5_both_sides(g, monitors)
         lhs6, rhs6 = prop6_both_sides(g, monitors)
@@ -173,55 +187,24 @@ def _cmd_place(args) -> int:
     cap = _default_cap()  # a bad value exits before the placement runs
     trace = mmp(g, args.seed)
     verified = verify_placement(g, trace.monitors, cap=cap)
-    decomposition = []
-    for block, comps in trace.decomposition:
-        entry = {
-            "nodes": sorted(block.nodes),
-            "edges": _edges_json(block.edges),
-            "cut_vertices": sorted(block.cut_vertices),
-            "c_b": block.c_b,
-            "triconnected_components": [
-                {
-                    "nodes": sorted(comp.nodes),
-                    "real_edges": _edges_json(comp.real_edges),
-                    "virtual_edges": _edges_json(comp.virtual_edges),
-                    "separation_vertices": sorted(comp.separation_vertices),
-                    "s_t": comp.s_t,
-                }
-                for comp in comps
-            ],
-        }
-        decomposition.append(entry)
     report = {
-        "monitors": list(trace.monitors),
+        **trace._asdict(),
         "k_min": trace.k_min,
         "verified": verified,
         "evidence": _EVIDENCE[verified],
         "tiebreak": {"policy": "lowest" if args.seed is None else "seeded", "seed": args.seed},
-        "stage1_degree_monitors": sorted(trace.stage1_degree_monitors),
-        "per_triconnected": [
-            {
-                "block": r.block_index,
-                "component": r.component_index,
-                "nodes": sorted(r.nodes),
-                "s_t": r.s_t,
-                "m_t": r.m_t,
-                "added": list(r.added),
-            }
-            for r in trace.per_triconnected
-        ],
-        "per_biconnected": [
-            {
-                "block": r.block_index,
-                "nodes": sorted(r.nodes),
-                "c_b": r.c_b,
-                "m_b": r.m_b,
-                "added": list(r.added),
-            }
-            for r in trace.per_biconnected
-        ],
-        "topup": sorted(trace.topup),
-        "decomposition": {"blocks": decomposition},
+        "per_triconnected": [r._asdict() for r in trace.per_triconnected],
+        "per_biconnected": [r._asdict() for r in trace.per_biconnected],
+        "decomposition": {
+            "blocks": [
+                {
+                    **block._asdict(),
+                    "c_b": block.c_b,
+                    "triconnected_components": [{**comp._asdict(), "s_t": comp.s_t} for comp in comps],
+                }
+                for block, comps in trace.decomposition
+            ]
+        },
     }
     _emit(report)
     return EXIT_OK
@@ -231,7 +214,7 @@ def _cmd_identify(args) -> int:
     g = _load_graph(args.graph)
     monitors = validate_monitors(g, _parse_monitors(args.monitors), minimum=2)
     cap = _default_cap()
-    report: dict = {"monitors": list(monitors)}
+    report: dict = {"monitors": monitors}
     values = None
     if args.weights:
         # simulate checks that the weights cover the graph and are positive
@@ -249,20 +232,12 @@ def _cmd_identify(args) -> int:
                 )
                 return EXIT_CAP
         verdict, recovered = recover(matrix, values)
-        report["measurements"] = [str(x) for x in values]
-        report["recovered"] = {_edge_str(e): str(x) for e, x in sorted(recovered.items())}
+        report["measurements"] = values
+        report["recovered"] = {_edge_str(e): x for e, x in recovered.items()}
     else:
         matrix = build_matrix(g, enumerate_monitor_paths(g, monitors, cap))
         verdict = identifiable_links(matrix)
-    report.update(
-        {
-            "paths": len(matrix.paths),
-            "rank": verdict.rank,
-            "identifiable": _edges_json(verdict.identifiable),
-            "unidentifiable": _edges_json(verdict.unidentifiable),
-            "fully_identifiable": verdict.fully_identifiable,
-        }
-    )
+    report.update(verdict._asdict(), paths=len(matrix.paths), fully_identifiable=verdict.fully_identifiable)
     if args.dump_matrix:
         with open(args.dump_matrix, "w", encoding="utf-8") as fh:
             for i, path in enumerate(matrix.paths):
@@ -283,7 +258,7 @@ def _cmd_witness(args) -> int:
         cycle = find_nonseparating_cycle(g, link, monitors, args.exclude_monitors)
         report = {"kind": args.kind, "found": cycle is not None}
         if cycle is not None:
-            report["cycle"] = list(cycle)
+            report["cycle"] = cycle
     else:
         if args.exclude_monitors:
             raise ValueError("--exclude-monitors applies only to --kind nonsep")
@@ -291,7 +266,7 @@ def _cmd_witness(args) -> int:
         w = find(g, link, monitors)
         report = {"kind": args.kind, "found": w is not None}
         if w is not None:
-            report.update({k: _edge_str(v) if k == "link" else list(v) for k, v in vars(w).items()})
+            report.update(vars(w), link=_edge_str(w.link))
     _emit(report)
     return EXIT_OK
 
@@ -323,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("place", help="compute a minimum monitor placement")
     p.add_argument("graph")
-    p.add_argument("--seed", type=int, help="sample each stage's free choice with this seed")
+    p.add_argument("--seed", type=parse_int, help="sample each stage's free choice with this seed")
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser("identify", help="rank oracle, simulation and recovery")

@@ -56,6 +56,24 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def parse_int(token: str) -> int:
+    """The integer a text token spells: an optional sign and ASCII digits,
+    with surrounding whitespace ignored as ``int()`` ignores it.  ValueError
+    for anything else, including the digit-group underscores and non-ASCII
+    digits that ``int()`` reads.  Every integer of the text formats, the
+    command-line options and the environment is read through here."""
+    text = token.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(text)
+
+
+# argparse names a failed type by its __name__: "invalid int value: '1_0'",
+# the message int() gave as the type of --seed
+parse_int.__name__ = "int"
+
+
 def _check_node_id(v) -> None:
     if not isinstance(v, int) or isinstance(v, bool) or v < 0:
         raise ValueError(f"node ids must be non-negative integers, got {v!r}")
@@ -164,7 +182,7 @@ def parse_graph(text: str) -> Graph:
             if seen_edge_line or header_nodes is not None:
                 raise GraphParseError("header 'nodes: n' must come first", lineno)
             try:
-                n = int(line.split(":", 1)[1].strip())
+                n = parse_int(line.split(":", 1)[1])
             except ValueError:
                 raise GraphParseError("malformed node-count header", lineno) from None
             if n < 0:
@@ -178,7 +196,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_int(parts[0]), parse_int(parts[1])
         except ValueError:
             raise GraphParseError(f"malformed token in {line!r}", lineno) from None
         if u < 0 or v < 0:

@@ -392,6 +392,15 @@ def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CA
     return False
 
 
+def _exact(x, what: str) -> Fraction:
+    """``x`` as a Fraction; ValueError naming ``what`` unless it is an int
+    (not a bool) or a Fraction, so that no float or string passes for an
+    exact rational."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
 def simulate(
     g: Graph,
     monitors: MonitorSet,
@@ -400,16 +409,17 @@ def simulate(
 ) -> tuple[MeasurementMatrix, tuple[Fraction, ...]]:
     """Enumerate paths and produce their exact metric sums, one per row.
 
-    ``weights`` gives each link, in either orientation, a rational value.
-    Before any path is walked, no link may be named twice, the links must
-    be exactly the graph's and every value must be positive."""
+    ``weights`` gives each link, in either orientation, a rational value,
+    an int or a Fraction.  Before any path is walked, no link may be named
+    twice, every value must be an int or a Fraction, the links must be
+    exactly the graph's and every value must be positive."""
     given = weights
     weights = {}
     for e, w in given.items():
         link = edge(*e)
         if link in weights:
             raise ValueError(f"weights name link {link} twice")
-        weights[link] = Fraction(w)
+        weights[link] = _exact(w, f"weight for edge {link}")
     missing = g.edges - set(weights)
     extra = set(weights) - g.edges
     if missing or extra:
@@ -433,12 +443,13 @@ def recover(
     from one reduction; no tolerance.  The verdict equals
     ``identifiable_links(matrix)``.
 
-    Raises when the values, one rational measurement per row, contradict
-    the row space (no generating assignment exists).
+    ``values`` holds one measurement per row, each an int or a Fraction
+    (ValueError naming its index otherwise).  Raises when the values
+    contradict the row space (no generating assignment exists).
     """
     if len(values) != len(matrix.rows):
         raise ValueError("the number of values must match the number of matrix rows")
-    values = [Fraction(v) for v in values]
+    values = [_exact(v, f"value {i}") for i, v in enumerate(values)]
     # measurements over their common denominator: an integer value column
     scale = lcm(*(v.denominator for v in values))
     red = _Reducer(len(matrix.edge_index))

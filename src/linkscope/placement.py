@@ -35,8 +35,13 @@ from .tomography import extend
 
 
 class TriStageRecord(NamedTuple):
-    block_index: int
-    component_index: int
+    """The stage-2 top-up of one triconnected component.  ``block`` is the
+    block's index in ``biconnected_components`` order and ``component`` the
+    component's index among the block's ``triconnected_components``; the
+    field names are the ``place`` report's keys."""
+
+    block: int
+    component: int
     nodes: frozenset[int]
     s_t: int
     m_t: int
@@ -44,7 +49,11 @@ class TriStageRecord(NamedTuple):
 
 
 class BiStageRecord(NamedTuple):
-    block_index: int
+    """The stage-3 top-up of one block of three or more nodes; ``block`` is
+    its index in ``biconnected_components`` order, the ``place`` report's
+    key."""
+
+    block: int
     nodes: frozenset[int]
     c_b: int
     m_b: int

@@ -367,8 +367,23 @@ class TestHostileInput:
             ("1 3 x/y", "error: line 2: malformed weight line '1 3 x/y'\n"),
             ("1 3 1/0", "error: line 2: malformed weight line '1 3 1/0'\n"),
             ("-1 3 1", "error: line 2: node ids must be non-negative\n"),
+            ("1_0 3 1", "error: line 2: malformed weight line '1_0 3 1'\n"),
+            ("\u0661 3 1", "error: line 2: malformed weight line '\u0661 3 1'\n"),
+            ("1 3 1_0", "error: line 2: malformed weight line '1 3 1_0'\n"),
+            ("1 3 \u0661", "error: line 2: malformed weight line '1 3 \u0661'\n"),
+            ("1 3 1/\u0662", "error: line 2: malformed weight line '1 3 1/\u0662'\n"),
         ],
-        ids=["two-fields", "malformed-value", "zero-denominator", "negative-id"],
+        ids=[
+            "two-fields",
+            "malformed-value",
+            "zero-denominator",
+            "negative-id",
+            "underscore-id",
+            "non-ascii-id",
+            "underscore-value",
+            "non-ascii-value",
+            "non-ascii-denominator",
+        ],
     )
     def test_bad_weight_line(self, capsys, tri_file, tmp_path, line, err):
         w = tmp_path / "w.txt"
@@ -392,8 +407,14 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "cap, code, err",
-        [("abc", 2, "bad LINKSCOPE_PATH_CAP value 'abc'"), ("0", 3, "cap must be positive"), ("-1", 3, "cap must be positive")],
-        ids=["abc", "0", "-1"],
+        [
+            ("abc", 2, "bad LINKSCOPE_PATH_CAP value 'abc'"),
+            ("\u0661\u0660", 2, "bad LINKSCOPE_PATH_CAP value '\u0661\u0660'"),
+            ("1_0", 2, "bad LINKSCOPE_PATH_CAP value '1_0'"),
+            ("0", 3, "cap must be positive"),
+            ("-1", 3, "cap must be positive"),
+        ],
+        ids=["abc", "arabic-indic", "underscore", "0", "-1"],
     )
     def test_bad_env_cap_exits_before_placement(self, capsys, k4_file, monkeypatch, cap, code, err):
         def no_placement(*args):
@@ -406,8 +427,13 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "link, err",
-        [("3--4", "malformed link '3--4', expected 'u-v'"), ("a-b", "malformed link 'a-b'")],
-        ids=["three-parts", "not-numbers"],
+        [
+            ("3--4", "malformed link '3--4', expected 'u-v'"),
+            ("a-b", "malformed link 'a-b'"),
+            ("\u0663-4", "malformed link '\u0663-4'"),
+            ("3-4_0", "malformed link '3-4_0'"),
+        ],
+        ids=["three-parts", "not-numbers", "arabic-indic", "underscore"],
     )
     def test_bad_link(self, capsys, k4_file, link, err):
         argv = ["witness", k4_file, "--monitors", "1,2", "--link", link, "--kind", "lemma3"]
@@ -416,14 +442,42 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "header, err",
-        [("nodes: x", "malformed node-count header"), ("nodes: -1", "node count must be non-negative")],
-        ids=["not-a-number", "negative"],
+        [
+            ("nodes: x", "malformed node-count header"),
+            ("nodes: -1", "node count must be non-negative"),
+            ("nodes: 1_0", "malformed node-count header"),
+        ],
+        ids=["not-a-number", "negative", "underscore"],
     )
     def test_bad_node_count_header(self, capsys, tmp_path, header, err):
         p = tmp_path / "g.txt"
         p.write_text(f"{header}\n1 2\n")
         assert main(["check", str(p), "--monitors", "1,2"]) == 2
         assert capsys.readouterr().err == f"error: line 1: {err}\n"
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [("1_0 2\n", "malformed token in '1_0 2'"), ("-1 2\n", "node ids must be non-negative")],
+        ids=["underscore", "negative"],
+    )
+    def test_bad_edge_token(self, capsys, tmp_path, text, err):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        assert main(["check", str(p), "--monitors", "1,2"]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {err}\n"
+
+    # int() would read "1_0" as 10 and the Arabic-Indic digit one as 1
+    @pytest.mark.parametrize("monitors", ["1_0,2", "\u0661,2"], ids=["underscore", "arabic-indic"])
+    def test_bad_monitor_token(self, capsys, k4_file, monitors):
+        assert main(["check", k4_file, "--monitors", monitors]) == 2
+        assert capsys.readouterr().err == f"error: malformed monitor list {monitors!r}\n"
+
+    @pytest.mark.parametrize("seed", ["abc", "1_0", "\u0661"], ids=["not-a-number", "underscore", "arabic-indic"])
+    def test_bad_seed_token(self, capsys, k4_file, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["place", k4_file, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed: invalid int value: {seed!r}" in capsys.readouterr().err
 
     def test_decimal_weight_accepted(self, capsys, tri_file, tmp_path):
         w = tmp_path / "w.txt"
@@ -652,6 +706,322 @@ class TestGoldenReport:
                 ]
             },
         }
+
+
+# node ids from 9 up: the link "10-11" sorts after "9-10" by its ends but
+# before it as a string, and a set of links iterates in neither order
+K4_HI = "9 10\n9 11\n9 12\n10 11\n10 12\n11 12\n"
+FIVE_HI = "9 10\n9 11\n9 12\n9 13\n10 11\n10 13\n11 12\n"
+# a triangle with a two-link tail: two bridges and two cut vertices
+TAIL_HI = "9 10\n9 11\n10 11\n11 12\n12 13\n"
+K4_HI_WEIGHTS = "9 10 1\n9 11 2/3\n9 12 5\n10 11 7/2\n10 12 1/4\n11 12 3\n"
+
+
+class TestGoldenStdout:
+    """The whole stdout of each report, byte for byte: the key order, the
+    indentation, the sort of every set and the rendering of links and
+    rationals."""
+
+    CASES = {
+        "check-two": (
+            FIVE_HI,
+            ["check", "--monitors", "12,13"],
+            """\
+{
+  "bridges": [],
+  "condition1": true,
+  "condition2": true,
+  "cut_vertices": [],
+  "exterior_links": [
+    "9-12",
+    "9-13",
+    "10-13",
+    "11-12"
+  ],
+  "graph": {
+    "edges": [
+      "9-10",
+      "9-11",
+      "9-12",
+      "9-13",
+      "10-11",
+      "10-13",
+      "11-12"
+    ],
+    "nodes": [
+      9,
+      10,
+      11,
+      12,
+      13
+    ]
+  },
+  "interior_connected": true,
+  "monitors": [
+    12,
+    13
+  ],
+  "prop2": true,
+  "vertex_connectivity": 2
+}
+""",
+        ),
+        "check-two-bridges": (
+            TAIL_HI,
+            ["check", "--monitors", "9,13"],
+            """\
+{
+  "bridges": [
+    "11-12",
+    "12-13"
+  ],
+  "condition1": false,
+  "condition2": false,
+  "cut_vertices": [
+    11,
+    12
+  ],
+  "exterior_links": [
+    "9-10",
+    "9-11",
+    "12-13"
+  ],
+  "graph": {
+    "edges": [
+      "9-10",
+      "9-11",
+      "10-11",
+      "11-12",
+      "12-13"
+    ],
+    "nodes": [
+      9,
+      10,
+      11,
+      12,
+      13
+    ]
+  },
+  "interior_connected": true,
+  "monitors": [
+    9,
+    13
+  ],
+  "prop2": false,
+  "vertex_connectivity": 1
+}
+""",
+        ),
+        "check-three": (
+            K4_HI,
+            ["check", "--monitors", "9,10,11"],
+            """\
+{
+  "bridges": [],
+  "cut_vertices": [],
+  "graph": {
+    "edges": [
+      "9-10",
+      "9-11",
+      "9-12",
+      "10-11",
+      "10-12",
+      "11-12"
+    ],
+    "nodes": [
+      9,
+      10,
+      11,
+      12
+    ]
+  },
+  "monitors": [
+    9,
+    10,
+    11
+  ],
+  "prop5": {
+    "lhs": true,
+    "rhs": true
+  },
+  "prop6": {
+    "lhs": true,
+    "rhs": true
+  },
+  "vertex_connectivity": 3
+}
+""",
+        ),
+        "identify": (
+            K4_HI,
+            ["identify", "--monitors", "9,10"],
+            """\
+{
+  "fully_identifiable": false,
+  "identifiable": [
+    "9-10",
+    "11-12"
+  ],
+  "monitors": [
+    9,
+    10
+  ],
+  "paths": 5,
+  "rank": 5,
+  "unidentifiable": [
+    "9-11",
+    "9-12",
+    "10-11",
+    "10-12"
+  ]
+}
+""",
+        ),
+        "identify-weights": (
+            K4_HI,
+            ["identify", "--monitors", "9,10", "--weights", "w.txt"],
+            """\
+{
+  "fully_identifiable": false,
+  "identifiable": [
+    "9-10",
+    "11-12"
+  ],
+  "measurements": [
+    "1",
+    "25/6",
+    "21/4",
+    "47/12",
+    "23/2"
+  ],
+  "monitors": [
+    9,
+    10
+  ],
+  "paths": 5,
+  "rank": 5,
+  "recovered": {
+    "11-12": "3",
+    "9-10": "1"
+  },
+  "unidentifiable": [
+    "9-11",
+    "9-12",
+    "10-11",
+    "10-12"
+  ]
+}
+""",
+        ),
+        "lemma3-found": (
+            FIVE_HI,
+            ["witness", "--monitors", "12,13", "--link", "10-11", "--kind", "lemma3"],
+            """\
+{
+  "cycle_c": [
+    9,
+    10,
+    11,
+    12
+  ],
+  "cycle_f": [
+    9,
+    10,
+    11
+  ],
+  "found": true,
+  "kind": "lemma3",
+  "link": "10-11",
+  "path_1": [
+    13,
+    9
+  ],
+  "path_2": [
+    12
+  ]
+}
+""",
+        ),
+        "lemma3-not-found": (
+            TAIL_HI,
+            ["witness", "--monitors", "9,13", "--link", "10-11", "--kind", "lemma3"],
+            """\
+{
+  "found": false,
+  "kind": "lemma3"
+}
+""",
+        ),
+        "lemma4-found": (
+            FIVE_HI,
+            ["witness", "--monitors", "12,13", "--link", "10-11", "--kind", "lemma4"],
+            """\
+{
+  "cycle": [
+    9,
+    10,
+    11
+  ],
+  "found": true,
+  "kind": "lemma4",
+  "link": "10-11",
+  "path_to_v": [
+    13,
+    10
+  ],
+  "path_to_w": [
+    12,
+    11
+  ]
+}
+""",
+        ),
+        "lemma4-not-found": (
+            K4_HI,
+            ["witness", "--monitors", "9,10", "--link", "11-12", "--kind", "lemma4"],
+            """\
+{
+  "found": false,
+  "kind": "lemma4"
+}
+""",
+        ),
+        "nonsep-found": (
+            FIVE_HI,
+            ["witness", "--monitors", "12,13", "--link", "10-11", "--kind", "nonsep"],
+            """\
+{
+  "cycle": [
+    9,
+    10,
+    11
+  ],
+  "found": true,
+  "kind": "nonsep"
+}
+""",
+        ),
+        "nonsep-not-found": (
+            TAIL_HI,
+            ["witness", "--monitors", "9,13", "--link", "11-12", "--kind", "nonsep"],
+            """\
+{
+  "found": false,
+  "kind": "nonsep"
+}
+""",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stdout(self, capsys, tmp_path, monkeypatch, case):
+        graph, args, expected = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.txt").write_text(graph)
+        (tmp_path / "w.txt").write_text(K4_HI_WEIGHTS)
+        assert main([args[0], "g.txt", *args[1:]]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
 
 
 class TestStartup:

@@ -21,6 +21,7 @@ from linkscope.graph import (
     is_simple_path,
     iter_simple_paths,
     parse_graph,
+    parse_int,
     serialize,
     sorted_neighbours,
 )
@@ -74,14 +75,41 @@ class TestParse:
             parse_graph("1 2\nnodes: 4\n")
 
     def test_negative_id_rejected(self):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError, match="^line 1: node ids must be non-negative$"):
             parse_graph("-1 2")
+
+    # int() reads digit-group underscores and any Unicode decimal digit
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("1_0 2", "malformed token in '1_0 2'"),
+            ("\u0661 2", "malformed token in '\u0661 2'"),
+            ("1 \uff12", "malformed token in '1 \uff12'"),
+            ("nodes: 1_0\n1 2", "malformed node-count header"),
+            ("nodes: \u0663\n1 2", "malformed node-count header"),
+        ],
+        ids=["underscore", "arabic-indic", "fullwidth", "header-underscore", "header-arabic-indic"],
+    )
+    def test_integer_tokens_are_ascii_digits(self, text, err):
+        with pytest.raises(GraphParseError, match=f"^line 1: {err}$"):
+            parse_graph(text)
 
     def test_header_above_limit_rejected(self):
         # rejected before the node set is allocated
         with pytest.raises(GraphParseError) as err:
             parse_graph(f"nodes: {MAX_HEADER_NODES + 1}\n1 2\n")
         assert err.value.line == 1
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("token, value", [("7", 7), ("+7", 7), ("-7", -7), (" 12\t", 12), ("007", 7)])
+    def test_accepts_sign_and_ascii_digits(self, token, value):
+        assert parse_int(token) == value
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u00b2", "", " ", "+", "-", "+-1", "1.0", "0x1", "1 0"])
+    def test_rejects_everything_else(self, token):
+        with pytest.raises(ValueError, match="^invalid integer "):
+            parse_int(token)
 
 
 class TestSerialize:

@@ -253,6 +253,28 @@ class TestSimulateRecover:
         with pytest.raises(ValueError, match=r"^weights name link \(1, 2\) twice$"):
             simulate(triangle, (1, 2), weights)
 
+    # Fraction() would read a float's binary value, a bool as 0 or 1 and a
+    # string as a literal: only ints and Fractions are exact by type
+    @pytest.mark.parametrize("bad", [0.1, True, "7/3", None], ids=["float", "bool", "str", "none"])
+    def test_inexact_weight_rejected(self, triangle, no_walk, bad):
+        with pytest.raises(ValueError, match=rf"^weight for edge \(1, 3\) must be an int or a Fraction, got {bad!r}$"):
+            simulate(triangle, (1, 2), {(1, 2): 1, (3, 1): bad, (2, 3): Fraction(3, 2)})
+
+    @pytest.mark.parametrize(
+        "values, index",
+        [([0.1, 2.5], 0), ([1, True], 1), ([Fraction(1), "7/3"], 1)],
+        ids=["floats", "bool", "str"],
+    )
+    def test_inexact_value_rejected(self, triangle, monkeypatch, values, index):
+        matrix = build_matrix(triangle, [(1, 2), (1, 3, 2)])
+
+        def no_reduction(*args):
+            raise AssertionError("reduced before the values were checked")
+
+        monkeypatch.setattr(identifiability, "_Reducer", no_reduction)
+        with pytest.raises(ValueError, match=rf"^value {index} must be an int or a Fraction, got {values[index]!r}$"):
+            recover(matrix, values)
+
     def test_coverage_checked_before_positivity(self, triangle, no_walk):
         with pytest.raises(ValueError, match="cover exactly"):
             simulate(triangle, (1, 2), {(1, 2): 0})
