@@ -309,22 +309,26 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[list[Path]]:
     monitor: it is one of the paths ``enumerate_monitor_paths`` lists, in
     the same orientation.
 
-    The first four rounds grow breadth-first then depth-first trees, with
-    neighbours in ascending node order, then in descending order; after
-    them every round is depth-first, each tree with its own order shuffled
-    by ``random.Random(0)``.  A round joins only the pairs that contain its
-    hub monitor, the next monitor in turn: with one tree per monitor, the
-    joins of the other pairs add almost no rank, and on graphs with many
-    monitors they multiplied the rows needed.
+    Each round picks one node order and grows every monitor's tree from
+    the same neighbour lists, sorted by that order: ascending in rounds 0
+    and 1, descending in rounds 2 and 3, and from round 4 on one shuffle of
+    the ascending order by ``random.Random(0)`` per round.  Rounds 0 and 2
+    grow breadth-first trees, every other round depth-first ones.  A round
+    joins only the pairs that contain its hub monitor, the next monitor in
+    turn: with one tree per monitor, the joins of the other pairs add
+    almost no rank, and on graphs with many monitors they multiplied the
+    rows needed.
 
     Complete in the limit: every measurement path P = (a = p0, .., pk = b)
     is built by some round.  A depth-first tree from a whose node order
     starts p0, .., pk descends along P, because at each pj every earlier
     node of P is visited and p(j+1) precedes every other unvisited
     neighbour; so its tree path to p(k-1) is P without b, and the join at
-    link (p(k-1), b) is P.  A shuffled round whose hub is a or b draws that
-    order with probability at least 1/n!, so for uniformly drawn orders P
-    is built almost surely, and the rows come to span the whole measurement
+    link (p(k-1), b) is P.  A shuffled round whose hub is a or b joins the
+    pair (a, b), and its one order, from which a's tree grows, starts
+    p0, .., pk with probability at least 1/n!.  Only a's tree matters, as
+    b's tree path to b is b alone; so for uniformly drawn orders P is built
+    almost surely, and the rows come to span the whole measurement
     matrix.  By the theorem of Ma et al. (IEEE/ACM ToN 2014) that matrix has
     full rank exactly when there are three or more monitors and the
     extended graph is 3-vertex-connected.  The argument bounds nothing (n!
@@ -340,15 +344,13 @@ def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[list[Path]]:
     seen: set[Path] = set()
     for r in count():
         if r < 4:
-            grow = _dfs_routes if r % 2 else _bfs_routes
-            nbrs = _neighbour_lists(g, nodes if r < 2 else nodes[::-1])
-            trees = {m: grow(nbrs, m, keep_out[m]) for m in ms}
+            order = nodes if r < 2 else nodes[::-1]
         else:
-            trees = {}
-            for m in ms:
-                order = nodes[:]
-                rng.shuffle(order)
-                trees[m] = _dfs_routes(_neighbour_lists(g, order), m, keep_out[m])
+            order = nodes[:]
+            rng.shuffle(order)
+        grow = _bfs_routes if r in (0, 2) else _dfs_routes
+        nbrs = _neighbour_lists(g, order)
+        trees = {m: grow(nbrs, m, keep_out[m]) for m in ms}
         hub = ms[r % len(ms)]
         built = []
         for other in ms:

@@ -31,7 +31,9 @@ from .graph import (
 
 
 def interior_links(g: Graph, monitors: MonitorSet) -> frozenset[Edge]:
-    m1, m2 = monitors
+    """The links that touch neither monitor of the pair; the pair is
+    checked by ``validate_monitor_pair``."""
+    m1, m2 = validate_monitor_pair(g, monitors)
     return frozenset(e for e in g.edges if m1 not in e and m2 not in e)
 
 
@@ -54,7 +56,6 @@ def _each_removable(g: Graph, links: Collection[Edge]) -> bool:
 
 def condition_1(g: Graph, monitors: MonitorSet) -> bool:
     """Every interior link can be removed without creating a bridge."""
-    monitors = validate_monitor_pair(g, monitors)
     return _each_removable(g, interior_links(g, monitors))
 
 

@@ -164,11 +164,11 @@ class TestPlace:
         assert report["evidence"] == "constructed paths"
 
     def test_constructed_rows_settle_g11(self, capsys, tmp_path, monkeypatch, no_path_search):
-        # mmp places 1, 5 and 8; the least cap that settles G11 is 70: 38
-        # rows fed over 32 rounds
+        # mmp places 1, 5 and 8; the least cap that settles G11 is 29: 24
+        # rows fed over 5 rounds
         p = tmp_path / "g11.txt"
         p.write_text("nodes: 11\n" + "".join(f"{u} {v}\n" for u, v in G11_LINKS))
-        for cap in (None, "70", "69"):
+        for cap in (None, "29", "28"):
             if cap is None:
                 monkeypatch.delenv("LINKSCOPE_PATH_CAP", raising=False)
             else:
@@ -176,7 +176,7 @@ class TestPlace:
             code, report = run(capsys, ["place", str(p)])
             assert code == 0
             assert report["monitors"] == [1, 5, 8]
-            if cap == "69":
+            if cap == "28":
                 assert (report["verified"], report["evidence"]) == (None, None)
             else:
                 assert (report["verified"], report["evidence"]) == (True, "constructed paths")
@@ -267,6 +267,14 @@ class TestIdentify:
         assert code == 0
         assert report["rank"] == 2
         assert built == [3]
+
+    def test_weights_comments_and_blank_lines_skipped(self, capsys, tri_file, tmp_path):
+        plain, annotated = tmp_path / "plain.txt", tmp_path / "annotated.txt"
+        plain.write_text("1 2 1\n1 3 2\n2 3 3\n")
+        annotated.write_text("# link weights\n1 2 1\n\n1 3 2  # the long way\n2 3 3\n")
+        reports = [run(capsys, ["identify", tri_file, "--monitors", "1,2", "--weights", str(w)]) for w in (plain, annotated)]
+        assert reports[0][0] == 0
+        assert reports[1] == reports[0]
 
     def test_cap_exceeded(self, capsys, tri_file, monkeypatch):
         monkeypatch.setenv("LINKSCOPE_PATH_CAP", "1")
@@ -649,6 +657,11 @@ class TestWitness:
 
 
 class TestGoldenReport:
+    @pytest.mark.parametrize("obj, name", [(object(), "object"), (b"1-2", "bytes"), (1j, "complex")])
+    def test_plain_rejects_a_type_it_has_no_form_for(self, obj, name):
+        with pytest.raises(TypeError, match=f"^no report form for {name}$"):
+            cli._plain(obj)
+
     def test_place_bowtie_full_json(self, capsys, tmp_path):
         p = tmp_path / "bowtie.txt"
         p.write_text("1 2\n1 5\n2 5\n3 4\n3 5\n4 5\n")

@@ -232,6 +232,14 @@ class TestQueries:
             (1, 5, 2),
         ]
 
+    def test_simple_path_to_itself_is_one_node(self, k4):
+        assert list(iter_simple_paths(k4, 3, 3)) == [(3,)]
+
+    @pytest.mark.parametrize("src, dst", [(1, 9), (9, 1)], ids=["dst", "src"])
+    def test_simple_paths_endpoint_outside_graph(self, k4, src, dst):
+        with pytest.raises(NotFoundError, match="^path endpoints must be graph nodes$"):
+            list(iter_simple_paths(k4, src, dst))
+
     def test_simple_paths_beyond_recursion_limit(self):
         g = path_n(3000)
         assert list(iter_simple_paths(g, 1, 3000)) == [tuple(range(1, 3001))]

@@ -30,7 +30,7 @@ from linkscope.identifiability import (
     simulate,
 )
 
-from .conftest import all_connected_graphs, path_n, random_connected_graph
+from .conftest import G11_LINKS, all_connected_graphs, path_n, random_connected_graph
 from .oracles import (
     adjacent_links,
     check_lemma1,
@@ -58,6 +58,11 @@ class TestPathEnumeration:
     def test_cap(self, triangle):
         with pytest.raises(PathExplosionError):
             enumerate_monitor_paths(triangle, (1, 2), cap=1)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_cap_rejected(self, triangle, cap):
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            enumerate_monitor_paths(triangle, (1, 2), cap)
 
     def test_three_monitors_skip_intermediates(self):
         paths = enumerate_monitor_paths(path_n(3), (1, 2, 3))
@@ -103,6 +108,48 @@ class TestConstructedPaths:
     def test_nonpositive_cap_rejected(self, k4, cap):
         with pytest.raises(ValueError, match="cap must be positive"):
             certify_full_rank(k4, (1, 2, 3), cap)
+
+    def test_one_node_order_per_round(self, monkeypatch):
+        # every tree of a round grows from one set of neighbour lists, and
+        # from round 4 on each round shuffles one order; the paths of the
+        # four fixed-order rounds are pinned
+        orders, shuffles = [], []
+        neighbour_lists, shuffle = identifiability._neighbour_lists, random.Random.shuffle
+
+        def counting_lists(g, order):
+            orders.append(list(order))
+            return neighbour_lists(g, order)
+
+        def counting_shuffle(rng, x):
+            shuffles.append(len(x))
+            shuffle(rng, x)
+
+        monkeypatch.setattr(identifiability, "_neighbour_lists", counting_lists)
+        monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
+        g, ms = Graph(range(1, 12), G11_LINKS), (1, 5, 8)
+        first = [
+            [
+                (1, 5), (1, 6, 10, 4, 7, 5), (1, 11, 7, 5), (1, 6, 2, 3, 4, 7, 5), (1, 6, 2, 9, 7, 5),
+                (1, 6, 2, 3, 9, 7, 5), (1, 6, 2, 9, 3, 4, 7, 5), (1, 6, 10, 11, 7, 5), (1, 11, 10, 4, 7, 5),
+                (1, 6, 8), (1, 11, 10, 6, 8), (1, 11, 7, 4, 10, 6, 8), (1, 11, 7, 9, 2, 6, 8),
+            ],
+            [(1, 11, 10, 6, 2, 3, 4, 7, 5), (5, 7, 4, 3, 2, 6, 8)],
+            [
+                (1, 11, 10, 4, 3, 2, 6, 8), (1, 11, 7, 9, 3, 2, 6, 8), (5, 7, 9, 3, 2, 6, 8),
+                (5, 7, 9, 2, 6, 8), (5, 7, 9, 3, 4, 10, 6, 8), (5, 7, 4, 10, 6, 8), (5, 7, 11, 10, 6, 8),
+            ],
+            [(1, 11, 10, 6, 2, 9, 7, 5)],
+        ]
+        rounds = constructed_paths(g, ms)
+        for r in range(4 + 2 * len(ms)):
+            built = next(rounds)
+            if r < 4:
+                assert built == first[r]
+            assert len(orders) == r + 1
+            assert shuffles == [11] * max(0, r - 3)
+        nodes = list(range(1, 12))
+        assert orders[:4] == [nodes, nodes, nodes[::-1], nodes[::-1]]
+        assert all(sorted(order) == nodes for order in orders[4:])
 
     def test_real_paths_sound_and_complete_on_small_graphs(self):
         # every connected graph on 3-6 nodes, with the placement's monitors
@@ -273,6 +320,17 @@ class TestSimulateRecover:
 
         monkeypatch.setattr(identifiability, "_Reducer", no_reduction)
         with pytest.raises(ValueError, match=rf"^value {index} must be an int or a Fraction, got {values[index]!r}$"):
+            recover(matrix, values)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nonpositive_cap_rejected(self, triangle, cap):
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            simulate(triangle, (1, 2), {(1, 2): 1, (1, 3): 2, (2, 3): 3}, cap)
+
+    @pytest.mark.parametrize("values", [[1], [1, 5, 2]], ids=["one-too-few", "one-too-many"])
+    def test_value_count_must_match_rows(self, triangle, values):
+        matrix = build_matrix(triangle, [(1, 2), (1, 3, 2)])
+        with pytest.raises(ValueError, match="^the number of values must match the number of matrix rows$"):
             recover(matrix, values)
 
     def test_coverage_checked_before_positivity(self, triangle, no_walk):

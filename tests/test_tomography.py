@@ -6,7 +6,7 @@ import pytest
 
 from linkscope.cli import main
 from linkscope.corpus import named_fixtures
-from linkscope.errors import TooFewMonitorsError
+from linkscope.errors import NotFoundError, TooFewMonitorsError
 from linkscope.graph import Graph, edge, serialize
 from linkscope.tomography import (
     condition_1,
@@ -187,3 +187,16 @@ class TestExtendedEquivalences:
 
     def test_interior_links_helper(self, k4):
         assert interior_links(k4, (1, 2)) == {(3, 4)}
+
+    @pytest.mark.parametrize(
+        "pair, error, message",
+        [
+            ((1, 99), NotFoundError, r"^monitors \[99\] not in graph$"),
+            ((1, 1), ValueError, r"^monitor ids must be distinct$"),
+            ((1, 2, 3), ValueError, r"^operation is defined for exactly two monitors, got 3$"),
+        ],
+        ids=["outside-graph", "repeated", "three"],
+    )
+    def test_interior_links_checks_its_pair(self, k4, pair, error, message):
+        with pytest.raises(error, match=message):
+            interior_links(k4, pair)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -185,6 +186,60 @@ class TestLemma3:
         tampered = Lemma3Witness(w.link, w.cycle_f, w.cycle_c, (1, 3), w.path_2)
         with pytest.raises(ValueError):
             tampered.validate(k4, (1, 2))
+
+
+# the cube: faces 1-2-3-4 and 5-6-7-8, joined by 1-5, 2-6, 3-7 and 4-8
+CUBE = Graph(edges=[(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8), (1, 5), (2, 6), (3, 7), (4, 8)])
+# the wheel: hub 1 and rim 2-3-4-5-6
+WHEEL = Graph(edges=[(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)])
+
+
+class TestWitnessValidation:
+    """Each check of a witness's ``validate`` rejects a witness that differs
+    from a found one in the fields given, and passes every earlier check."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cycle_c": (1, 2, 3, 4)}, "both cycles must contain the link"),
+            ({"cycle_f": (1, 2, 3, 7, 8, 4)}, "first cycle must be non-separating"),
+            ({"cycle_c": (3, 4, 8, 7)}, "cycles share more than one node besides the link ends"),
+            ({"path_2": (2, 5)}, "attachment paths must be simple paths"),
+            ({"path_1": (4,)}, "attachment paths must start at the two monitors"),
+            ({"path_2": (2, 1, 4)}, "attachment paths must be disjoint"),
+            ({"path_2": (2, 6, 7)}, "attachment paths must avoid the link ends"),
+            ({"path_1": (1,)}, "first path must meet the first cycle exactly at its end"),
+            ({"path_2": (2,)}, "second path must meet the second cycle exactly at its end"),
+        ],
+        ids=["link", "separating", "shared", "simple", "start", "disjoint", "link-ends", "first-end", "second-end"],
+    )
+    def test_lemma3_check(self, change, message):
+        w = find_lemma3_witness(CUBE, (7, 8), (1, 2))
+        assert w == Lemma3Witness((7, 8), (3, 4, 8, 7), (5, 6, 7, 8), (1, 4), (2, 6))
+        tampered = Lemma3Witness(**{**vars(w), **change})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tampered.validate(CUBE, (1, 2))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"cycle": (1, 4, 5)}, "cycle must contain the link"),
+            ({"cycle": (1, 2, 6, 5)}, "cycle must not contain a monitor"),
+            ({"cycle": (1, 4, 5, 6)}, "cycle must be non-separating"),
+            ({"path_to_w": (2, 5, 6)}, "attachment paths must be simple paths"),
+            ({"path_to_v": (3, 4)}, "paths must end at the link ends"),
+            ({"path_to_v": (4, 5)}, "paths must start at the two monitors"),
+            ({"path_to_v": (3, 1, 5), "path_to_w": (2, 1, 6)}, "attachment paths must be disjoint"),
+            ({"path_to_v": (3, 1, 5)}, "paths must meet the cycle only at their endpoint"),
+        ],
+        ids=["link", "monitor", "separating", "simple", "end", "start", "disjoint", "meets-cycle"],
+    )
+    def test_lemma4_check(self, change, message):
+        w = find_lemma4_witness(WHEEL, (5, 6), (2, 3))
+        assert w == Lemma4Witness((5, 6), (1, 5, 6), (3, 4, 5), (2, 6))
+        tampered = Lemma4Witness(**{**vars(w), **change})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tampered.validate(WHEEL, (2, 3))
 
 
 def case_b_count(g, cycle, monitors) -> int:
