@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 file or parse problems, 3 violated preconditions,
 4 resource caps: the path cap of ``identify``, and measurements with more
 digits than the interpreter's limit for printing integers (checked before any
-reduction).  ``place`` searches no paths; its cap counts the constructed rows
-fed and their rounds, and once it is spent before full rank
-``verify_placement`` gives None: ``place`` exits 0 and reports
+reduction).  ``place`` searches no paths; its cap counts the rounds of trees,
+the constructed rows fed and the guided scans, and once it is spent before
+full rank ``verify_placement`` gives None: ``place`` exits 0 and reports
 ``"verified": null``.
 All reports are JSON on stdout, built from the library's own records and
 rendered by one rule, ``_plain``, the encoder's hook: a set prints as its
@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .connectivity import bridges, cut_vertices, vertex_connectivity
 from .errors import (
@@ -69,7 +68,10 @@ def _plain(obj):
     other type is a TypeError, so no value reaches a report unrendered."""
     if isinstance(obj, (set, frozenset)):
         return [_edge_str(x) if isinstance(x, tuple) else x for x in sorted(obj)]
-    if isinstance(obj, Fraction):
+    # a Fraction exists only once its module is loaded: look the class up
+    # there rather than run an import for each of a report's many values
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     raise TypeError(f"no report form for {type(obj).__name__}")
 
@@ -98,6 +100,8 @@ def _parse_link(text: str):
 
 
 def _load_weights(path: str) -> dict:
+    from fractions import Fraction
+
     mapping = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):

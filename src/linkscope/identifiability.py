@@ -30,23 +30,16 @@ a third monitor: such a path is the concatenation of shorter monitor-to-
 monitor paths and contributes no new rank.
 
 Enumeration grows with the number of simple paths and is capped.  Full
-identifiability has a cheaper positive proof: ``constructed_paths`` builds
-measurement paths directly from spanning trees, round after round.
-``certify_full_rank``, the package's one full-rank decision, feeds them to
-the same reducer under one cap that counts rounds and rows.  A full rank on
-some real rows is a full rank of the whole matrix, so the verdict is exact
-as soon as the rank reaches the number of links; a spent cap proves nothing
-either way.  Placement verification uses the certificate and runs no path
-search; ``identify`` still enumerates every path.
+identifiability has a cheaper positive proof, the certificate of
+``linkscope.certificate``, which placement verification uses; ``identify``
+still enumerates every path.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import combinations
 from math import lcm
-from typing import Container, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InconsistentMeasurementsError,
@@ -257,150 +250,20 @@ def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
     return _report(red, matrix.edge_index)
 
 
-# ---------------------------------------------------------------------------
-# constructed measurement paths: a positive rank certificate
+def _exact(named: Iterable[tuple[str, object]]) -> list[Fraction]:
+    """The value of each (name, value) pair as a Fraction, in order;
+    ValueError naming the first value that is not an int (not a bool) or a
+    Fraction, so that no float or string passes for an exact rational.
+    Loading this module does not load ``fractions``; the import runs here,
+    about a microsecond per call, so a whole sequence is checked in one."""
+    from fractions import Fraction
 
-
-def _bfs_routes(nbrs: dict[int, list[int]], root: int, removed: Container[int]) -> dict[int, Path]:
-    """Breadth-first spanning tree from root, avoiding removed nodes, as the
-    tree path root..v of each node v it reaches."""
-    routes = {root: (root,)}
-    queue = [root]
-    for u in queue:
-        for w in nbrs[u]:
-            if w not in routes and w not in removed:
-                routes[w] = (*routes[u], w)
-                queue.append(w)
-    return routes
-
-
-def _dfs_routes(nbrs: dict[int, list[int]], root: int, removed: Container[int]) -> dict[int, Path]:
-    """Depth-first counterpart of ``_bfs_routes``."""
-    routes = {root: (root,)}
-    stack = [(root, iter(nbrs[root]))]
-    while stack:
-        u, rest = stack[-1]
-        for w in rest:
-            if w not in routes and w not in removed:
-                routes[w] = (*routes[u], w)
-                stack.append((w, iter(nbrs[w])))
-                break
-        else:
-            stack.pop()
-    return routes
-
-
-def _neighbour_lists(g: Graph, order: list[int]) -> dict[int, list[int]]:
-    position = {v: i for i, v in enumerate(order)}
-    return {v: sorted(g.adj[v], key=position.__getitem__) for v in order}
-
-
-def constructed_paths(g: Graph, monitors: MonitorSet) -> Iterator[list[Path]]:
-    """Measurement paths built directly from spanning trees, in rounds that
-    never end: each round yields the paths it built that no earlier round
-    did, possibly none.  This is the path construction of Ma, He, Leung,
-    Towsley and Swami (ICDCS 2013) without its bound.
-
-    A monitor pair a < b takes one tree grown from a in G - {b, other
-    monitors} and one grown from b in G - {a, other monitors}.  Each link
-    (u, v), in each orientation, joins the tree path a..u, the link and the
-    tree path v..b; the join is kept when the two halves share no node.  So
-    every path yielded runs from a to b, repeats no node and passes no other
-    monitor: it is one of the paths ``enumerate_monitor_paths`` lists, in
-    the same orientation.
-
-    Each round picks one node order and grows every monitor's tree from
-    the same neighbour lists, sorted by that order: ascending in rounds 0
-    and 1, descending in rounds 2 and 3, and from round 4 on one shuffle of
-    the ascending order by ``random.Random(0)`` per round.  Rounds 0 and 2
-    grow breadth-first trees, every other round depth-first ones.  A round
-    joins only the pairs that contain its hub monitor, the next monitor in
-    turn: with one tree per monitor, the joins of the other pairs add
-    almost no rank, and on graphs with many monitors they multiplied the
-    rows needed.
-
-    Complete in the limit: every measurement path P = (a = p0, .., pk = b)
-    is built by some round.  A depth-first tree from a whose node order
-    starts p0, .., pk descends along P, because at each pj every earlier
-    node of P is visited and p(j+1) precedes every other unvisited
-    neighbour; so its tree path to p(k-1) is P without b, and the join at
-    link (p(k-1), b) is P.  A shuffled round whose hub is a or b joins the
-    pair (a, b), and its one order, from which a's tree grows, starts
-    p0, .., pk with probability at least 1/n!.  Only a's tree matters, as
-    b's tree path to b is b alone; so for uniformly drawn orders P is built
-    almost surely, and the rows come to span the whole measurement
-    matrix.  By the theorem of Ma et al. (IEEE/ACM ToN 2014) that matrix has
-    full rank exactly when there are three or more monitors and the
-    extended graph is 3-vertex-connected.  The argument bounds nothing (n!
-    orders): the caller's cap, not the argument, bounds the work.
-    """
-    ms = sorted(validate_monitors(g, monitors, minimum=2))
-    nodes = g.sorted_nodes()
-    links = g.sorted_edges()
-    # G - {b, other monitors} is G minus every monitor but a, so a's tree
-    # serves every pair that contains a
-    keep_out = {m: set(ms) - {m} for m in ms}
-    rng = random.Random(0)
-    seen: set[Path] = set()
-    for r in count():
-        if r < 4:
-            order = nodes if r < 2 else nodes[::-1]
-        else:
-            order = nodes[:]
-            rng.shuffle(order)
-        grow = _bfs_routes if r in (0, 2) else _dfs_routes
-        nbrs = _neighbour_lists(g, order)
-        trees = {m: grow(nbrs, m, keep_out[m]) for m in ms}
-        hub = ms[r % len(ms)]
-        built = []
-        for other in ms:
-            if other == hub:
-                continue
-            a, b = sorted((hub, other))
-            from_a, from_b = trees[a], trees[b]
-            for u, v in links:
-                for x, y in ((u, v), (v, u)):
-                    if x in from_a and y in from_b:
-                        p = from_a[x] + from_b[y][::-1]
-                        if p not in seen and len(set(p)) == len(p):
-                            seen.add(p)
-                            built.append(p)
-        yield built
-
-
-def certify_full_rank(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP) -> bool:
-    """Whether the constructed paths prove every link identifiable.
-
-    Feeds the rounds of ``constructed_paths`` to the exact reducer until the
-    rank reaches the number of links: full rank on some real measurement
-    rows is full rank of the whole path matrix, and the proof is in integer
-    arithmetic.  Each round and each row fed counts once against ``cap``,
-    so the loop ends whether or not the rank can be full.  False once
-    ``cap`` is spent: "not proved", never "rank deficient".  ValueError when
-    ``cap`` is not positive."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    cols = tuple(g.sorted_edges())
-    index = _column_index(cols)
-    red = _Reducer(len(cols))
-    # one unit per round (None, charged before the round grows its trees)
-    # and one per row
-    units = chain.from_iterable((None, *built) for built in constructed_paths(g, monitors))
-    for _, p in zip(range(cap), units):
-        if p is not None:
-            red.add(_row(p, index))
-            if red.rank == len(cols):
-                return True
-    return False
-
-
-def _exact(x, what: str) -> Fraction:
-    """``x`` as a Fraction; ValueError naming ``what`` unless it is an int
-    (not a bool) or a Fraction, so that no float or string passes for an
-    exact rational."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
-    return Fraction(x)
+    out = []
+    for what, x in named:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+        out.append(Fraction(x))
+    return out
 
 
 def simulate(
@@ -415,13 +278,15 @@ def simulate(
     an int or a Fraction.  Before any path is walked, no link may be named
     twice, every value must be an int or a Fraction, the links must be
     exactly the graph's and every value must be positive."""
+    from fractions import Fraction
+
     given = weights
     weights = {}
     for e, w in given.items():
         link = edge(*e)
         if link in weights:
             raise ValueError(f"weights name link {link} twice")
-        weights[link] = _exact(w, f"weight for edge {link}")
+        weights[link] = _exact([(f"weight for edge {link}", w)])[0]
     missing = g.edges - set(weights)
     extra = set(weights) - g.edges
     if missing or extra:
@@ -449,9 +314,11 @@ def recover(
     (ValueError naming its index otherwise).  Raises when the values
     contradict the row space (no generating assignment exists).
     """
+    from fractions import Fraction
+
     if len(values) != len(matrix.rows):
         raise ValueError("the number of values must match the number of matrix rows")
-    values = [_exact(v, f"value {i}") for i, v in enumerate(values)]
+    values = _exact((f"value {i}", v) for i, v in enumerate(values))
     # measurements over their common denominator: an integer value column
     scale = lcm(*(v.denominator for v in values))
     red = _Reducer(len(matrix.edge_index))

@@ -30,7 +30,7 @@ from .decomposition import (
 )
 from .errors import InfeasibleStageError, TooSmallError
 from .graph import Graph, MonitorSet, validate_monitors
-from .identifiability import DEFAULT_PATH_CAP, certify_full_rank
+from .identifiability import DEFAULT_PATH_CAP
 from .tomography import extend
 
 
@@ -149,10 +149,11 @@ def verify_placement(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
     link identifiable: False when there are fewer than three monitors or the
     extended graph is not 3-vertex-connected; otherwise True once the exact
     rank certificate (``certify_full_rank``) reaches full rank, and None when
-    it spends ``cap`` rounds and rows first (no evidence either way).  The
-    monitors are checked by ``validate_monitors``: NotFoundError for a node
-    outside the graph, ValueError for a repeated id.  ValueError when ``cap``
-    is not positive, whatever the monitors.  No path search runs."""
+    it spends ``cap`` units of rounds, rows fed and guided scans first (no
+    evidence either way).  The monitors are checked by
+    ``validate_monitors``: NotFoundError for a node outside the graph,
+    ValueError for a repeated id.  ValueError when ``cap`` is not positive,
+    whatever the monitors.  No path search runs."""
     if cap < 1:
         raise ValueError("cap must be positive")
     ms = validate_monitors(g, monitors, minimum=0)
@@ -160,4 +161,8 @@ def verify_placement(g: Graph, monitors: MonitorSet, cap: int = DEFAULT_PATH_CAP
     # graph have fewer than three neighbours
     if len(ms) < 3 or not is_k_vertex_connected(extend(g, ms), 3):
         return False
+    # imported here, so that the commands that verify nothing do not
+    # compile the certificate's module
+    from .certificate import certify_full_rank
+
     return certify_full_rank(g, ms, cap) or None

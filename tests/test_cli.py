@@ -164,11 +164,11 @@ class TestPlace:
         assert report["evidence"] == "constructed paths"
 
     def test_constructed_rows_settle_g11(self, capsys, tmp_path, monkeypatch, no_path_search):
-        # mmp places 1, 5 and 8; the least cap that settles G11 is 29: 24
-        # rows fed over 5 rounds
+        # mmp places 1, 5 and 8; the least cap that settles G11 is 38: 5
+        # rounds, round 0's 13 rows, 16 guided scans and the 4 rows they fed
         p = tmp_path / "g11.txt"
         p.write_text("nodes: 11\n" + "".join(f"{u} {v}\n" for u, v in G11_LINKS))
-        for cap in (None, "29", "28"):
+        for cap in (None, "38", "37"):
             if cap is None:
                 monkeypatch.delenv("LINKSCOPE_PATH_CAP", raising=False)
             else:
@@ -176,7 +176,7 @@ class TestPlace:
             code, report = run(capsys, ["place", str(p)])
             assert code == 0
             assert report["monitors"] == [1, 5, 8]
-            if cap == "28":
+            if cap == "37":
                 assert (report["verified"], report["evidence"]) == (None, None)
             else:
                 assert (report["verified"], report["evidence"]) == (True, "constructed paths")
@@ -1050,6 +1050,15 @@ class TestStartup:
         # only the witness and corpus commands use them; they import them
         src = os.path.dirname(os.path.dirname(linkscope.__file__))
         probe = "import sys, linkscope.cli; print(sorted({'linkscope.witness', 'linkscope.corpus'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_cli_import_skips_fractions_and_decimal(self):
+        # only identify reads and prints rationals; the modules that use
+        # them import fractions, and with it decimal, when they run
+        src = os.path.dirname(os.path.dirname(linkscope.__file__))
+        probe = "import sys, linkscope.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice
-from math import lcm
+from itertools import chain, combinations, islice
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkscope import identifiability
+from linkscope import certificate, identifiability
+from linkscope.certificate import _SparseReducer, certify_full_rank
 from linkscope.connectivity import is_k_vertex_connected
 from linkscope.corpus import named_fixtures
 from linkscope.errors import (
@@ -16,13 +17,11 @@ from linkscope.errors import (
     InvalidPathError,
     PathExplosionError,
 )
-from linkscope.graph import Graph
+from linkscope.graph import Graph, validate_monitors
 from linkscope.placement import mmp
 from linkscope.tomography import extend
 from linkscope.identifiability import (
     build_matrix,
-    certify_full_rank,
-    constructed_paths,
     enumerate_monitor_paths,
     identifiable_links,
     _Reducer,
@@ -73,9 +72,36 @@ class TestPathEnumeration:
         assert all(p[0] == 1 and p[-1] == 2 for p in paths)
 
 
+def constructed_paths(g, monitors):
+    """The certificate's rounds of trees as paths: each round's kept joins
+    over the pairs of its hub, the next monitor in turn, that no earlier
+    round built (possibly none).  The certificate feeds round 0's this way,
+    then scans every pair by null vectors."""
+    ms = sorted(validate_monitors(g, monitors, minimum=2))
+    links = g.sorted_edges()
+    seen = set()
+    for r, trees in enumerate(certificate._tree_rounds(g, ms)):
+        built = []
+        for p in certificate._hub_joins(trees, ms[r % len(ms)], ms, links):
+            if p not in seen:
+                seen.add(p)
+                built.append(p)
+        yield built
+
+
 def _rounds(g, ms, n):
     """The paths of the first n rounds of the construction."""
     return [p for built in islice(constructed_paths(g, ms), n) for p in built]
+
+
+def _corpus():
+    """Every connected graph on 3-6 nodes, each with the placement's
+    monitors and a seeded monitor set of two, three or four nodes in turn."""
+    rng = random.Random(7)
+    graphs = chain.from_iterable(all_connected_graphs(n) for n in range(3, 7))
+    for i, g in enumerate(graphs):
+        placement = mmp(g).monitors
+        yield g, (placement, tuple(rng.sample(g.sorted_nodes(), min(2 + i % 3, g.node_count))))
 
 
 class TestConstructedPaths:
@@ -99,10 +125,11 @@ class TestConstructedPaths:
         assert certify_full_rank(triangle, (1, 2), cap=50) is False
 
     def test_rows_count_against_cap(self, k4):
-        # K4 with monitors 1, 2 and 3 needs all six constructed rows, from
-        # two rounds: eight units of the cap
-        assert certify_full_rank(k4, (1, 2, 3), cap=7) is False
-        assert certify_full_rank(k4, (1, 2, 3), cap=8) is True
+        # K4 with monitors 1, 2 and 3 needs six constructed rows: round 0's
+        # four, then two guided scans that each feed one; with the round,
+        # nine units of the cap
+        assert certify_full_rank(k4, (1, 2, 3), cap=8) is False
+        assert certify_full_rank(k4, (1, 2, 3), cap=9) is True
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_nonpositive_cap_rejected(self, k4, cap):
@@ -114,7 +141,7 @@ class TestConstructedPaths:
         # from round 4 on each round shuffles one order; the paths of the
         # four fixed-order rounds are pinned
         orders, shuffles = [], []
-        neighbour_lists, shuffle = identifiability._neighbour_lists, random.Random.shuffle
+        neighbour_lists, shuffle = certificate._neighbour_lists, random.Random.shuffle
 
         def counting_lists(g, order):
             orders.append(list(order))
@@ -124,7 +151,7 @@ class TestConstructedPaths:
             shuffles.append(len(x))
             shuffle(rng, x)
 
-        monkeypatch.setattr(identifiability, "_neighbour_lists", counting_lists)
+        monkeypatch.setattr(certificate, "_neighbour_lists", counting_lists)
         monkeypatch.setattr(random.Random, "shuffle", counting_shuffle)
         g, ms = Graph(range(1, 12), G11_LINKS), (1, 5, 8)
         first = [
@@ -152,32 +179,26 @@ class TestConstructedPaths:
         assert all(sorted(order) == nodes for order in orders[4:])
 
     def test_real_paths_sound_and_complete_on_small_graphs(self):
-        # every connected graph on 3-6 nodes, with the placement's monitors
-        # and a seeded monitor set of two, three or four nodes in turn
-        rng = random.Random(7)
         full = placements = 0
-        for n in range(3, 7):
-            for g in all_connected_graphs(n):
-                placement = mmp(g).monitors
-                seeded = tuple(rng.sample(g.sorted_nodes(), min(2 + placements % 3, n)))
-                for ms in (placement, seeded):
-                    paths = enumerate_monitor_paths(g, ms)
-                    # the four fixed-order rounds, then two shuffled turns of
-                    # hubs: every instance checks the shuffled trees too
-                    built = _rounds(g, ms, 4 + 2 * len(ms))
-                    assert len(set(built)) == len(built)
-                    assert set(built) <= set(paths), (sorted(g.edges), ms)
-                    oracle = identifiable_links(build_matrix(g, paths)).fully_identifiable
-                    # the sufficiency and necessity theorem for three or
-                    # more monitors, against the enumerated rank oracle
-                    theorem = len(ms) >= 3 and is_k_vertex_connected(extend(g, ms), 3)
-                    assert oracle == theorem, (sorted(g.edges), ms)
-                    if oracle:
-                        full += 1
-                        assert certify_full_rank(g, ms) is True, (sorted(g.edges), ms)
-                    else:
-                        assert certify_full_rank(g, ms, cap=16) is False
-                placements += 1
+        for g, monitor_sets in _corpus():
+            for ms in monitor_sets:
+                paths = enumerate_monitor_paths(g, ms)
+                # the four fixed-order rounds, then two shuffled turns of
+                # hubs: every instance checks the shuffled trees too
+                built = _rounds(g, ms, 4 + 2 * len(ms))
+                assert len(set(built)) == len(built)
+                assert set(built) <= set(paths), (sorted(g.edges), ms)
+                oracle = identifiable_links(build_matrix(g, paths)).fully_identifiable
+                # the sufficiency and necessity theorem for three or more
+                # monitors, against the enumerated rank oracle
+                theorem = len(ms) >= 3 and is_k_vertex_connected(extend(g, ms), 3)
+                assert oracle == theorem, (sorted(g.edges), ms)
+                if oracle:
+                    full += 1
+                    assert certify_full_rank(g, ms) is True, (sorted(g.edges), ms)
+                else:
+                    assert certify_full_rank(g, ms, cap=16) is False
+            placements += 1
         assert placements == 27474
         assert full == 32070
 
@@ -482,6 +503,127 @@ class TestReducer:
                 assert self._check(m, valued) == rank
                 full.append(self._recover_verdict(m, valued))
         assert full == [False, True] * 30
+
+
+class TestSparseReducer:
+    """The certificate's eliminator against reference_rref and _Reducer."""
+
+    @staticmethod
+    def _check_index_and_null_vectors(red, fed) -> None:
+        """The column index lists exactly the rows nonzero at each free
+        column, and each free column's null vector is orthogonal to every
+        dense row in ``fed``."""
+        free = red.free()
+        assert all(all(row.values()) and set(row) <= set(free) for row in red.rows.values())
+        for f in free:
+            assert red.index.get(f, set()) == {c for c, row in red.rows.items() if f in row}
+            z = red.null_vector(f)
+            assert z[f] and set(z) <= {f, *red.index.get(f, ())}
+            assert all(sum(z.get(c, 0) * x for c, x in enumerate(row)) == 0 for row in fed)
+
+    def test_basis_is_primitive_rref_on_small_instances(self):
+        count = 0
+        for g, pair in _small_two_monitor_instances():
+            m = build_matrix(g, enumerate_monitor_paths(g, pair))
+            ncols = len(m.edge_index)
+            red, fed = _SparseReducer(ncols), []
+            for cols, dense in zip(m.rows, incidence_rows(m)):
+                before = red.rank
+                kept = red.add(cols)
+                fed.append(dense)
+                ref = reference_rref(fed)
+                assert red.rank == len(ref) == before + kept
+                pivots = [next(c for c, x in enumerate(r) if x) for r in ref]
+                assert sorted(red.rows) == pivots
+                for c, r in zip(pivots, ref):
+                    # the basis row, dense: its scale at its pivot, its
+                    # entries at free columns and zero elsewhere
+                    b = [red.rows[c].get(f, 0) for f in range(ncols)]
+                    b[c] = red.scale[c]
+                    assert red.scale[c] > 0 and gcd(*b) == 1
+                    assert b == [red.scale[c] * x for x in r]
+                self._check_index_and_null_vectors(red, fed)
+            count += 1
+        assert count == 38 * 6 + 728 * 10
+
+    def test_basis_is_primitive_on_identify_sized_instances(self):
+        # _Reducer's basis is d times the reduced form, so each basis row
+        # here, times d, is its scale times _Reducer's row of the same pivot
+        kept = 0
+        for g, seeded in _identify_sized_instances():
+            for monitors in (seeded, mmp(g).monitors):
+                m = build_matrix(g, enumerate_monitor_paths(g, monitors))
+                ncols = len(m.edge_index)
+                dense, sparse = _Reducer(ncols), _SparseReducer(ncols)
+                for row in m.rows:
+                    if not dense.add(row):
+                        assert not sparse.add(row)
+                        continue
+                    assert sparse.add(row)
+                    kept += 1
+                    assert sorted(sparse.rows) == sorted(dense.basis)
+                    for c, b in sparse.rows.items():
+                        full = [b.get(f, 0) for f in range(ncols)]
+                        full[c] = sparse.scale[c]
+                        assert gcd(*full) == 1
+                        assert [dense.d * x for x in full] == [sparse.scale[c] * x for x in dense.basis[c][:ncols]]
+        assert kept == 1345
+
+    def test_rank_matches_reducer_on_the_corpus(self):
+        # the corpus of the constructed-path test, fed its enumerated rows
+        count = 0
+        for g, monitor_sets in _corpus():
+            for ms in monitor_sets:
+                m = build_matrix(g, enumerate_monitor_paths(g, ms))
+                ncols = len(m.edge_index)
+                dense, sparse = _Reducer(ncols), _SparseReducer(ncols)
+                for row in m.rows:
+                    assert sparse.add(row) == dense.add(row)
+                    assert sparse.rank == dense.rank
+                for f in sparse.free():
+                    z = sparse.null_vector(f)
+                    assert all(sum([z.get(c, 0) for c in row]) == 0 for row in m.rows)
+                count += 1
+        assert count == 2 * 27474
+
+    def test_guided_join_against_every_join(self):
+        # after round 0's rows, each free column's null vector scans round
+        # 0's trees; a brute-force walk over every join of every ordered
+        # pair and every oriented link says whether one hits
+        scans = hits = 0
+        for n in (4, 5):
+            for g in all_connected_graphs(n):
+                for ms in (mmp(g).monitors, (1, 2, 3), (1, n)):
+                    ms = sorted(ms)
+                    links = g.sorted_edges()
+                    index = identifiability._column_index(tuple(links))
+                    trees = next(certificate._tree_rounds(g, ms))
+                    red = _SparseReducer(len(links))
+                    for p in certificate._hub_joins(trees, ms[0], ms, links):
+                        red.add(identifiability._row(p, index))
+                    joins = [
+                        certificate._join(trees[a], x, y, trees[b])
+                        for a in ms
+                        for b in ms
+                        for u, v in links
+                        for x, y in ((u, v), (v, u))
+                        if a != b and x in trees[a] and y in trees[b]
+                    ]
+                    joins = [p for p in joins if p is not None]
+                    paths = set(enumerate_monitor_paths(g, ms))
+                    steps = certificate._tree_steps(trees, index)
+                    for f in red.free():
+                        z = red.null_vector(f)
+                        found = certificate._guided_join(trees, steps, links, z)
+                        off_span = [p for p in joins if sum([z.get(c, 0) for c in identifiability._row(p, index)])]
+                        scans += 1
+                        if found is None:
+                            assert off_span == [], (sorted(g.edges), ms, f)
+                        else:
+                            hits += 1
+                            assert found in off_span
+                            assert found in paths or found[::-1] in paths
+        assert (scans, hits) == (5713, 2703)
 
 
 class TestSimulateOracle:

@@ -122,12 +122,13 @@ class TestVerification:
         assert verify_placement(k4, monitors, cap=1) is None
 
     def test_constructed_rows_settle_g9(self):
-        # the least cap that settles G9 is 58: 50 rows fed over 8 rounds
+        # the least cap that settles G9 is 33: one round, its 12 rows, then
+        # 10 guided scans that each feed a row
         g = Graph(range(1, 10), G9_LINKS)
         monitors = (1, 2, 3, 4, 7, 9)
         assert verify_placement(g, monitors) is True
-        assert verify_placement(g, monitors, cap=58) is True
-        assert verify_placement(g, monitors, cap=57) is None
+        assert verify_placement(g, monitors, cap=33) is True
+        assert verify_placement(g, monitors, cap=32) is None
 
     @pytest.mark.parametrize(
         "links, nodes, monitors",
