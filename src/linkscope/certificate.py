@@ -3,19 +3,15 @@
 A full rank on some real measurement rows is a full rank of the whole path
 matrix, so ``certify_full_rank``, the package's one full-rank decision,
 needs no path search: it builds measurement paths directly from spanning
-trees, round after round (``_tree_rounds``), and feeds them to its own
+trees, round after round (``_tree_rounds``), and feeds them to the
 exact eliminator under one cap that counts rounds, rows fed and guided
 scans.  The verdict is exact as soon as the rank reaches the number of
 links; a spent cap proves nothing either way.
 
-The eliminator, ``_SparseReducer``, keeps each basis row sparse, as the
-primitive integer multiple of its reduced row echelon row with a scale of
-its own, and indexes the rows by the free columns where they are nonzero.
-A new row then sums only the basis rows it hits, and a new pivot rewrites
-only the rows nonzero in its column, where ``identifiability._Reducer``
-rescales its whole basis to a new common d.  The index also gives each
-free column f a null vector of the rows kept so far: nonzero at f and at
-the pivot of each row that is nonzero at f.  A constructed path raises the
+The eliminator is the package's one, ``identifiability._SparseReducer``,
+fed without values.  Its column index gives each free column f a null
+vector of the rows kept so far: nonzero at f and at the pivot of each row
+that is nonzero at f.  A constructed path raises the
 rank exactly when its row is not orthogonal to one of these vectors, so
 after the first round of trees only such paths are built and fed.
 """
@@ -24,107 +20,10 @@ from __future__ import annotations
 
 import random
 from itertools import count
-from math import gcd, lcm
 from typing import Container, Iterator, Sequence
 
 from .graph import Edge, Graph, MonitorSet, Path, validate_monitors
-from .identifiability import DEFAULT_PATH_CAP, _column_index, _row
-
-
-class _SparseReducer:
-    """The certificate's exact eliminator: 0/1 rows given by their columns,
-    reduced in sparse form, so that a row touches only the basis rows it
-    meets.
-
-    Each basis row is the primitive integer multiple of its row of the
-    reduced row echelon form of the rows kept so far: a positive ``scale``
-    at its own pivot, zero at every other pivot, and its nonzero entries at
-    free (non-pivot) columns in ``rows``; the scale and the entries have gcd
-    1.  So no entry exceeds the matching entry of the basis of
-    ``identifiability._Reducer``, which is d times the same reduced form.
-    ``index`` lists, for each free column, the pivots of the rows that are
-    nonzero there.
-
-    A new row r reduces to L*r - sum((L / s_c) * B_c) over the pivots c
-    among its columns, where L is the lcm of their scales s_c: only the rows
-    it hits are summed.  A nonzero residual, divided by its gcd, becomes the
-    basis row of its leftmost nonzero column, and only the rows that
-    ``index`` lists at that column are rewritten; no other row is rescaled.
-    """
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}  # pivot -> {free column: entry}
-        self.scale: dict[int, int] = {}  # pivot -> the row's entry there
-        self.index: dict[int, set[int]] = {}  # free column -> pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def free(self) -> list[int]:
-        """The free columns, ascending."""
-        return [f for f in range(self.ncols) if f not in self.rows]
-
-    def add(self, row: Sequence[int]) -> bool:
-        rows, scale, index = self.rows, self.scale, self.index
-        hits = [c for c in row if c in rows]
-        common = lcm(*[scale[c] for c in hits])
-        res = dict.fromkeys([f for f in row if f not in rows], common)
-        for c in hits:
-            m = common // scale[c]
-            for f, x in rows[c].items():
-                res[f] = res.get(f, 0) - m * x
-        res = {f: x for f, x in res.items() if x}
-        if not res:
-            return False
-        pivot = min(res)
-        lead = res.pop(pivot)
-        g = gcd(lead, *res.values())
-        if lead < 0:
-            g = -g
-        lead //= g
-        new = {f: x // g for f, x in res.items()}
-        met = index.pop(pivot, ())
-        for f in new:
-            index.setdefault(f, set()).add(pivot)
-        # each row nonzero at the new pivot becomes lead times itself minus
-        # its entry there times the new row, then primitive again
-        for c in met:
-            b = rows[c]
-            a = b.pop(pivot)
-            for f in b:
-                b[f] *= lead
-            for f, x in new.items():
-                y = b.get(f, 0) - a * x
-                if y:
-                    if f not in b:
-                        index[f].add(c)
-                    b[f] = y
-                else:
-                    del b[f]
-                    index[f].discard(c)
-            s = scale[c] * lead
-            g = gcd(s, *b.values())
-            if g > 1:
-                s //= g
-                for f in b:
-                    b[f] //= g
-            scale[c] = s
-        rows[pivot] = new
-        scale[pivot] = lead
-        return True
-
-    def null_vector(self, f: int) -> dict[int, int]:
-        """An integer vector orthogonal to every row kept so far, as its
-        nonzero entries: nonzero at free column ``f`` and at the pivot of
-        each row nonzero there, zero elsewhere."""
-        rows, scale = self.rows, self.scale
-        hit = self.index.get(f, ())
-        common = lcm(*[scale[c] for c in hit])
-        z = {c: -rows[c][f] * (common // scale[c]) for c in hit}
-        z[f] = common
-        return z
+from .identifiability import DEFAULT_PATH_CAP, _column_index, _row, _SparseReducer
 
 
 def _bfs_tree(nbrs: dict[int, list[int]], root: int, removed: Container[int]) -> dict[int, int | None]:

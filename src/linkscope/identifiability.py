@@ -5,24 +5,23 @@ A link metric is identifiable exactly when its unit coordinate vector lies in
 the row space of the 0/1 path-edge incidence matrix.  A row is kept as the
 ascending tuple of its path's link columns (the dense form exists only in
 ``identify --dump-matrix`` output).  Membership is read off a fully reduced
-row basis, computed over the integers by Bareiss's integer-preserving
-Gauss-Jordan elimination, so verdicts are exact and bit-reproducible.  The
-basis is kept as one common pivot value d times the reduced row echelon
-form, one row per pivot column; a new row is reduced only at the free
-(non-pivot) columns, where its residual can be nonzero.  Floating point
-never touches a verdict.
+row basis, computed over the integers by the package's one exact
+eliminator, ``_SparseReducer`` (sparse primitive rows, each with a scale of
+its own), so verdicts are exact and bit-reproducible.  Floating point never
+touches a verdict.
 
 Recovery runs the same elimination with one extra value column: the
 measurements are scaled to their common denominator L, so a measurement on
 a path becomes its columns with the integer value L times the measurement,
-and the reducer never leaves the integers.  Pivots stay in the link
+and the eliminator never leaves the integers.  Pivots stay in the link
 columns; a row whose link part cancels while its value does not is a
-contradiction, and each unit basis row (0, .., d, .., 0 | n) reads off its
-link's value n / (d L).  Because the value column never holds a pivot, the
-same pass also gives the verdict: its rank and unit rows are those of the
-incidence rows alone.  Every report, with or without values, is read off a
-reduced basis by one function.  Simulation likewise scales the weights to
-their common denominator, one integer sum per row over its columns.
+contradiction.  A link is identifiable exactly when its column is a pivot
+whose basis row has no link entry; with scale s and value entry n, that
+row reads off the link's value n / (s L).  Because the value column never
+holds a pivot, the same pass also gives the verdict, read off the basis by
+the one function that reads every report.  Simulation likewise scales the
+weights to their common denominator, one integer sum per row over its
+columns.
 
 With two monitors every simple path between them is a measurement.  With
 three or more, paths are enumerated per monitor pair and may not pass through
@@ -31,14 +30,15 @@ monitor paths and contributes no new rank.
 
 Enumeration grows with the number of simple paths and is capped.  Full
 identifiability has a cheaper positive proof, the certificate of
-``linkscope.certificate``, which placement verification uses; ``identify``
-still enumerates every path.
+``linkscope.certificate``, which placement verification uses and which
+feeds its constructed rows to the same eliminator; ``identify`` still
+enumerates every path.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -79,94 +79,145 @@ class IdentifiabilityReport(NamedTuple):
 # exact elimination over the rationals, kept in integers
 
 
-class _Reducer:
-    """Incremental integer-preserving Gauss-Jordan reduction (Bareiss's
-    one-step form) of 0/1 rows given by their columns, each with a value; a
-    basis row holds ``ncols`` link entries, then the value, never a pivot.
+class _SparseReducer:
+    """The package's one exact eliminator: 0/1 rows given by their columns,
+    each with an integer value, reduced in sparse form, so that a row
+    touches only the basis rows it meets.
 
-    Invariant after every ``add``: the basis is ``d`` times the reduced row
-    echelon form of the rows kept so far, for one integer ``d > 0`` (the
-    absolute determinant of their pivot columns).  Every basis row is
-    therefore ``d`` at its own pivot and zero at every other pivot; its
-    other entries are minors of the kept rows, which is why each division
-    by the old ``d`` below is exact.  A unit coordinate vector lies in the
-    row space exactly when its column is a pivot whose basis row has a
-    single nonzero entry among the first ``ncols``.
+    Each basis row is the primitive integer multiple of its row of the
+    reduced row echelon form of the rows kept so far, values appended: a
+    positive ``scale`` at its own pivot, zero at every other pivot, and its
+    nonzero entries in ``rows``, at free (non-pivot) link columns and at
+    the value column ``ncols``; the scale and the entries have gcd 1.  The
+    value column is never a pivot.  ``index`` lists, for each free link
+    column, the pivots of the rows that are nonzero there; it never lists
+    the value column.  A unit coordinate vector lies in the row space
+    exactly when its column is a pivot whose row has no link entry
+    (``solved``).
 
-    A new row r reduces to ``d*r - sum(B_c)`` over the pivots c among its
-    columns.  That residual is zero at every pivot column, so only the free
-    (non-pivot) link columns and the value column are computed: one sum per
-    free column, not one whole-row operation per pivot.
+    A new row r reduces to L*r - sum((L / s_c) * B_c) over the pivots c
+    among its columns, where L is the lcm of their scales s_c: only the rows
+    it hits are summed, value entries with the link entries.  A residual
+    that is nonzero only at the value column contradicts the rows kept.
+    Any other nonzero residual, divided by its gcd, becomes the basis row of
+    its leftmost nonzero column, and only the rows that ``index`` lists at
+    that column are rewritten, value entries with the rest; no other row is
+    rescaled.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.d = 1
-        self.basis: dict[int, list[int]] = {}  # pivot column -> basis row
-        self._free = list(range(ncols))  # non-pivot link columns, ascending
+        self.rows: dict[int, dict[int, int]] = {}  # pivot -> {column: entry}
+        self.scale: dict[int, int] = {}  # pivot -> the row's entry there
+        self.index: dict[int, set[int]] = {}  # free link column -> pivots
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def free(self) -> list[int]:
+        """The free link columns, ascending."""
+        return [f for f in range(self.ncols) if f not in self.rows]
+
+    def solved(self) -> list[int]:
+        """The pivots whose row has no link entry: the columns whose unit
+        vector lies in the row space."""
+        n = self.ncols
+        return [c for c, b in self.rows.items() if len(b) == (n in b)]
 
     def add(self, row: Sequence[int], value: int = 0) -> bool:
-        d = self.d
-        basis, free = self.basis, self._free
-        hits = [basis[c] for c in row if c in basis]
-        # d times the row, at its own columns and the value column
-        scaled = dict.fromkeys(row, d)
-        scaled[self.ncols] = d * value
-        cols = free + [self.ncols]
-        res = []
-        for f in cols:
-            s = scaled.get(f, 0)
-            for b in hits:
-                s -= b[f]
-            res.append(s)
-        nfree = len(free)
-        k = 0
-        while k < nfree and not res[k]:
-            k += 1
-        if k == nfree:
-            if res[-1]:
-                raise InconsistentMeasurementsError(
-                    "measurement vector is inconsistent with the paths"
-                )
-            return False
-        pivot = free[k]
-        lead = res[k]
-        if lead < 0:
-            lead = -lead
-            res = [-x for x in res]
-        new = [0] * (self.ncols + 1)
-        for f, x in zip(cols, res):
-            new[f] = x
-        # keep the basis at lead times the reduced form; only the free
-        # columns, the value column and a row's own pivot can change
-        for c, b in basis.items():
-            bp = b[pivot]
-            if bp:
-                for f in cols:
-                    b[f] = (lead * b[f] - bp * new[f]) // d
-                b[c] = lead
-            elif lead != d:
-                for f in cols:
-                    b[f] = b[f] * lead // d
-                b[c] = lead
-        self.d = lead
-        del free[k]
-        basis[pivot] = new
+        n = self.ncols
+        rows, scale, index = self.rows, self.scale, self.index
+        hits = [c for c in row if c in rows]
+        if not hits and row:
+            # the row is its own residual: scale 1 at its least column
+            new = dict.fromkeys(row, 1)
+            pivot = min(new)
+            del new[pivot]
+            lead, v = 1, value
+        else:
+            common = scale[hits[0]] if len(hits) == 1 else lcm(*[scale[c] for c in hits])
+            res = dict.fromkeys([f for f in row if f not in rows], common) if len(hits) < len(row) else {}
+            if value:
+                res[n] = common * value
+            if common == 1:
+                # every hit row at scale 1, as on most dependent rows: no multiply
+                for c in hits:
+                    b = rows[c]
+                    for f in b:
+                        res[f] = res.get(f, 0) - b[f]
+            else:
+                for c in hits:
+                    b = rows[c]
+                    m = common // scale[c]
+                    for f in b:
+                        res[f] = res.get(f, 0) - m * b[f]
+            v = res.pop(n, 0)
+            if not any(res.values()):
+                if v:
+                    raise InconsistentMeasurementsError(
+                        "measurement vector is inconsistent with the paths"
+                    )
+                return False
+            new = {f: x for f, x in res.items() if x}
+            pivot = min(new)
+            lead = new.pop(pivot)
+            g = gcd(lead, v, *new.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                lead //= g
+                v //= g
+                new = {f: x // g for f, x in new.items()}
+        met = index.pop(pivot, ())
+        for f in new:
+            index.setdefault(f, set()).add(pivot)
+        # each row nonzero at the new pivot becomes lead times itself minus
+        # its entry there times the new row, then primitive again
+        for c in met:
+            b = rows[c]
+            a = b.pop(pivot)
+            if lead != 1:
+                for f in b:
+                    b[f] *= lead
+            for f, x in new.items():
+                y = b.get(f, 0) - a * x
+                if y:
+                    if f not in b:
+                        index[f].add(c)
+                    b[f] = y
+                else:
+                    del b[f]
+                    index[f].discard(c)
+            if v:
+                y = b.get(n, 0) - a * v
+                if y:
+                    b[n] = y
+                else:
+                    del b[n]
+            s = scale[c] * lead
+            g = gcd(s, *b.values())
+            if g > 1:
+                s //= g
+                for f in b:
+                    b[f] //= g
+            scale[c] = s
+        if v:
+            new[n] = v
+        rows[pivot] = new
+        scale[pivot] = lead
         return True
 
-    def unit_rows(self) -> list[tuple[int, list[int]]]:
-        """(pivot column, basis row) for each basis row whose first ``ncols``
-        entries are a multiple of a unit vector."""
-        n = self.ncols
-        return [
-            (pcol, row)
-            for pcol, row in self.basis.items()
-            if row[:n].count(0) == n - 1
-        ]
+    def null_vector(self, f: int) -> dict[int, int]:
+        """An integer vector orthogonal to every row kept so far, as its
+        nonzero entries: nonzero at free column ``f`` and at the pivot of
+        each row nonzero there, zero elsewhere."""
+        rows, scale = self.rows, self.scale
+        hit = self.index.get(f, ())
+        common = lcm(*[scale[c] for c in hit])
+        z = {c: -rows[c][f] * (common // scale[c]) for c in hit}
+        z[f] = common
+        return z
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +281,9 @@ def build_matrix(g: Graph, paths: list[Path]) -> MeasurementMatrix:
     return MeasurementMatrix(tuple(tuple(p) for p in paths), cols, rows)
 
 
-def _report(red: _Reducer, cols: tuple[Edge, ...]) -> IdentifiabilityReport:
+def _report(red: _SparseReducer, cols: tuple[Edge, ...]) -> IdentifiabilityReport:
     """The verdict read off a reduced basis over the link columns ``cols``."""
-    if red.rank == len(cols):
-        return IdentifiabilityReport(red.rank, frozenset(cols), frozenset())
-    good = frozenset(cols[c] for c, _ in red.unit_rows())
+    good = frozenset(cols[c] for c in red.solved())
     return IdentifiabilityReport(red.rank, good, frozenset(cols) - good)
 
 
@@ -242,7 +291,7 @@ def identifiable_links(matrix: MeasurementMatrix) -> IdentifiabilityReport:
     """Rank over the rationals plus the set of edges whose unit vector lies
     in the row space."""
     ncols = len(matrix.edge_index)
-    red = _Reducer(ncols)
+    red = _SparseReducer(ncols)
     for row in matrix.rows:
         red.add(row)
         if red.rank == ncols:
@@ -308,7 +357,9 @@ def recover(
 ) -> tuple[IdentifiabilityReport, dict[Edge, Fraction]]:
     """The verdict and the exact value of every identifiable edge, both
     from one reduction; no tolerance.  The verdict equals
-    ``identifiable_links(matrix)``.
+    ``identifiable_links(matrix)``; an identifiable edge's value is its
+    solved row's value entry over the row's scale times the measurements'
+    common denominator.
 
     ``values`` holds one measurement per row, each an int or a Fraction
     (ValueError naming its index otherwise).  Raises when the values
@@ -321,11 +372,11 @@ def recover(
     values = _exact((f"value {i}", v) for i, v in enumerate(values))
     # measurements over their common denominator: an integer value column
     scale = lcm(*(v.denominator for v in values))
-    red = _Reducer(len(matrix.edge_index))
+    red = _SparseReducer(len(matrix.edge_index))
     for row, value in zip(matrix.rows, values):
         red.add(row, value.numerator * (scale // value.denominator))
     recovered = {
-        matrix.edge_index[pcol]: Fraction(row[-1], row[pcol] * scale)
-        for pcol, row in red.unit_rows()
+        matrix.edge_index[c]: Fraction(red.rows[c].get(red.ncols, 0), red.scale[c] * scale)
+        for c in red.solved()
     }
     return _report(red, matrix.edge_index), recovered

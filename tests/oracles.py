@@ -472,7 +472,7 @@ def reference_rref(rows) -> list[list[Fraction]]:
         for r in range(len(mat)):
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+                mat[r] = [x - factor * y if y else x for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return mat[:rank]
 

@@ -255,12 +255,12 @@ class TestIdentify:
     def test_weights_reduce_once(self, capsys, tri_file, tmp_path, monkeypatch):
         built = []
 
-        class Counting(identifiability._Reducer):
+        class Counting(identifiability._SparseReducer):
             def __init__(self, ncols):
                 built.append(ncols)
                 super().__init__(ncols)
 
-        monkeypatch.setattr(identifiability, "_Reducer", Counting)
+        monkeypatch.setattr(identifiability, "_SparseReducer", Counting)
         w = tmp_path / "w.txt"
         w.write_text("1 2 1\n1 3 2\n2 3 3\n")
         code, report = run(capsys, ["identify", tri_file, "--monitors", "1,2", "--weights", str(w)])
@@ -1066,14 +1066,20 @@ class TestStartup:
 
 class TestLayering:
     # monitor sets are checked in the graph layer, so the rank oracle and
-    # the witness searches load no connectivity conditions
+    # the witness searches load no connectivity conditions; the eliminator
+    # lives in the rank oracle, so neither it nor the CLI, and with it
+    # identify, loads the certificate
     @pytest.mark.parametrize(
         "module, absent",
         [
-            ("linkscope.identifiability", ("linkscope.tomography", "linkscope.connectivity")),
+            (
+                "linkscope.identifiability",
+                ("linkscope.tomography", "linkscope.connectivity", "linkscope.certificate"),
+            ),
             ("linkscope.witness", ("linkscope.tomography",)),
+            ("linkscope.cli", ("linkscope.certificate",)),
         ],
-        ids=["identifiability", "witness"],
+        ids=["identifiability", "witness", "cli"],
     )
     def test_import_skips(self, module, absent):
         src = os.path.dirname(os.path.dirname(linkscope.__file__))

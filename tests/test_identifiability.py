@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkscope import certificate, identifiability
-from linkscope.certificate import _SparseReducer, certify_full_rank
+from linkscope.certificate import certify_full_rank
 from linkscope.connectivity import is_k_vertex_connected
 from linkscope.corpus import named_fixtures
 from linkscope.errors import (
@@ -24,7 +24,7 @@ from linkscope.identifiability import (
     build_matrix,
     enumerate_monitor_paths,
     identifiable_links,
-    _Reducer,
+    _SparseReducer,
     recover,
     simulate,
 )
@@ -339,7 +339,7 @@ class TestSimulateRecover:
         def no_reduction(*args):
             raise AssertionError("reduced before the values were checked")
 
-        monkeypatch.setattr(identifiability, "_Reducer", no_reduction)
+        monkeypatch.setattr(identifiability, "_SparseReducer", no_reduction)
         with pytest.raises(ValueError, match=rf"^value {index} must be an int or a Fraction, got {values[index]!r}$"):
             recover(matrix, values)
 
@@ -370,6 +370,17 @@ class TestSimulateRecover:
         bad = (Fraction(1), Fraction(5), Fraction(999))
         with pytest.raises(InconsistentMeasurementsError):
             recover(matrix, bad)
+
+    def test_contradiction_carried_through_a_rewritten_row(self, triangle):
+        # the first row's value is rewritten when the second row's pivot
+        # clears it; only then does the repeat of the first path read it
+        matrix = build_matrix(triangle, [(2, 1, 3), (1, 3, 2), (2, 1, 3)])
+        w = {(1, 2): Fraction(1, 2), (1, 3): Fraction(2), (2, 3): Fraction(4, 3)}
+        values = [w[1, 2] + w[1, 3], w[1, 3] + w[2, 3], w[1, 2] + w[1, 3]]
+        assert recover(matrix, values) == (identifiable_links(matrix), {})
+        values[2] += 1
+        with pytest.raises(InconsistentMeasurementsError, match="^measurement vector is inconsistent with the paths$"):
+            recover(matrix, values)
 
     def test_recovery_exact_on_random_instances(self):
         rng = random.Random(99)
@@ -420,22 +431,35 @@ def _small_two_monitor_instances():
                 yield g, pair
 
 
+def _dense_row(red, c) -> list[int]:
+    """Basis row ``c`` of ``red`` in full: its scale at its pivot, its
+    entries at the link columns and at the value column, zero elsewhere."""
+    b = [red.rows[c].get(f, 0) for f in range(red.ncols + 1)]
+    b[c] = red.scale[c]
+    return b
+
+
 class TestReducer:
-    """_Reducer against a plain Fraction Gauss-Jordan, after every add."""
+    """The eliminator against a plain Fraction Gauss-Jordan of the incidence
+    rows with their values appended, after every add."""
 
     @staticmethod
-    def _check(matrix, values: list[int]) -> int:
+    def _check(matrix, values: list[int]) -> _SparseReducer:
         """Feeds each row of ``matrix`` with its value; the reference rows are
         the dense incidence rows with the value appended."""
         ncols = len(matrix.edge_index)
-        red = _Reducer(ncols)
+        red = _SparseReducer(ncols)
         ref: list = []  # reference_rref of the rows added so far
         pivots: list[int] = []
         for cols, dense, value in zip(matrix.rows, incidence_rows(matrix), values):
             row = [*dense, value]
-            before = {c: list(b) for c, b in red.basis.items()}
+            before = (
+                {c: dict(b) for c, b in red.rows.items()},
+                dict(red.scale),
+                {f: set(cs) for f, cs in red.index.items()},
+            )
             kept = red.add(cols, value)
-            assert red.d > 0
+            assert ncols not in red.index
             if kept:
                 # the reduced form of the rows so far is that of the earlier
                 # rows' reduced form plus this row
@@ -443,19 +467,22 @@ class TestReducer:
                 assert len(new_ref) == len(ref) + 1
                 ref, pivots = new_ref, [next(c for c, x in enumerate(r) if x) for r in new_ref]
                 assert max(pivots) < ncols
-                # the basis, read in pivot order
-                assert sorted(red.basis) == pivots
-                for (_, b), r in zip(sorted(red.basis.items()), ref):
-                    assert [v * x.denominator for v, x in zip(b, r)] == [red.d * x.numerator for x in r]
+                # the basis, read in pivot order: each row is its scale times
+                # the reference row over the link and value columns, with gcd 1
+                assert sorted(red.rows) == pivots
+                for c, r in zip(pivots, ref):
+                    b = _dense_row(red, c)
+                    assert red.scale[c] > 0 and gcd(*b) == 1
+                    assert b == [red.scale[c] * x for x in r]
             else:
                 # row = sum of row[p] times the reduced row of pivot p, so the
                 # reduced form is unchanged (it already holds at the pivots)
                 hits = [(row[p], r) for p, r in zip(pivots, ref) if row[p]]
                 others = set(range(len(row))) - set(pivots)
                 assert all(row[c] == sum(a * r[c] for a, r in hits) for c in others)
-                assert red.basis == before
+                assert (red.rows, red.scale, red.index) == before
         assert red.rank == len(ref)
-        return red.rank
+        return red
 
     @staticmethod
     def _with_values(matrix, rng) -> list[int]:
@@ -480,9 +507,9 @@ class TestReducer:
         full = set()
         for g, pair in _small_two_monitor_instances():
             m = build_matrix(g, enumerate_monitor_paths(g, pair))
-            rank = self._check(m, [0] * len(m.rows))
+            rank = self._check(m, [0] * len(m.rows)).rank
             valued = self._with_values(m, rng)
-            assert self._check(m, valued) == rank
+            assert self._check(m, valued).rank == rank
             full.add(self._recover_verdict(m, valued))
             count += 1
         assert count == 38 * 6 + 728 * 10
@@ -498,23 +525,25 @@ class TestReducer:
         for g, seeded in _identify_sized_instances():
             for monitors in (seeded, mmp(g).monitors):
                 m = build_matrix(g, enumerate_monitor_paths(g, monitors))
-                rank = self._check(m, [0] * len(m.rows))
+                rank = self._check(m, [0] * len(m.rows)).rank
                 valued = self._with_values(m, rng)
-                assert self._check(m, valued) == rank
+                assert self._check(m, valued).rank == rank
                 full.append(self._recover_verdict(m, valued))
         assert full == [False, True] * 30
 
 
 class TestSparseReducer:
-    """The certificate's eliminator against reference_rref and _Reducer."""
+    """The eliminator's column index and null vectors, and its rank against
+    reference_rref."""
 
     @staticmethod
     def _check_index_and_null_vectors(red, fed) -> None:
         """The column index lists exactly the rows nonzero at each free
-        column, and each free column's null vector is orthogonal to every
-        dense row in ``fed``."""
+        column, and never the value column; each free column's null vector
+        is orthogonal to every dense link row in ``fed``."""
         free = red.free()
-        assert all(all(row.values()) and set(row) <= set(free) for row in red.rows.values())
+        assert set(red.index) <= set(free)
+        assert all(all(row.values()) and set(row) <= {*free, red.ncols} for row in red.rows.values())
         for f in free:
             assert red.index.get(f, set()) == {c for c, row in red.rows.items() if f in row}
             z = red.null_vector(f)
@@ -522,24 +551,23 @@ class TestSparseReducer:
             assert all(sum(z.get(c, 0) * x for c, x in enumerate(row)) == 0 for row in fed)
 
     def test_basis_is_primitive_rref_on_small_instances(self):
+        rng = random.Random(9)
         count = 0
         for g, pair in _small_two_monitor_instances():
             m = build_matrix(g, enumerate_monitor_paths(g, pair))
             ncols = len(m.edge_index)
             red, fed = _SparseReducer(ncols), []
-            for cols, dense in zip(m.rows, incidence_rows(m)):
+            values = TestReducer._with_values(m, rng)
+            for cols, dense, value in zip(m.rows, incidence_rows(m), values):
                 before = red.rank
-                kept = red.add(cols)
+                kept = red.add(cols, value)
                 fed.append(dense)
-                ref = reference_rref(fed)
+                ref = reference_rref([[*row, v] for row, v in zip(fed, values)])
                 assert red.rank == len(ref) == before + kept
                 pivots = [next(c for c, x in enumerate(r) if x) for r in ref]
                 assert sorted(red.rows) == pivots
                 for c, r in zip(pivots, ref):
-                    # the basis row, dense: its scale at its pivot, its
-                    # entries at free columns and zero elsewhere
-                    b = [red.rows[c].get(f, 0) for f in range(ncols)]
-                    b[c] = red.scale[c]
+                    b = _dense_row(red, c)
                     assert red.scale[c] > 0 and gcd(*b) == 1
                     assert b == [red.scale[c] * x for x in r]
                 self._check_index_and_null_vectors(red, fed)
@@ -547,26 +575,14 @@ class TestSparseReducer:
         assert count == 38 * 6 + 728 * 10
 
     def test_basis_is_primitive_on_identify_sized_instances(self):
-        # _Reducer's basis is d times the reduced form, so each basis row
-        # here, times d, is its scale times _Reducer's row of the same pivot
+        # fed without values, as the certificate feeds it
         kept = 0
         for g, seeded in _identify_sized_instances():
             for monitors in (seeded, mmp(g).monitors):
                 m = build_matrix(g, enumerate_monitor_paths(g, monitors))
-                ncols = len(m.edge_index)
-                dense, sparse = _Reducer(ncols), _SparseReducer(ncols)
-                for row in m.rows:
-                    if not dense.add(row):
-                        assert not sparse.add(row)
-                        continue
-                    assert sparse.add(row)
-                    kept += 1
-                    assert sorted(sparse.rows) == sorted(dense.basis)
-                    for c, b in sparse.rows.items():
-                        full = [b.get(f, 0) for f in range(ncols)]
-                        full[c] = sparse.scale[c]
-                        assert gcd(*full) == 1
-                        assert [dense.d * x for x in full] == [sparse.scale[c] * x for x in dense.basis[c][:ncols]]
+                red = TestReducer._check(m, [0] * len(m.rows))
+                self._check_index_and_null_vectors(red, incidence_rows(m))
+                kept += red.rank
         assert kept == 1345
 
     def test_rank_matches_reducer_on_the_corpus(self):
@@ -575,13 +591,12 @@ class TestSparseReducer:
         for g, monitor_sets in _corpus():
             for ms in monitor_sets:
                 m = build_matrix(g, enumerate_monitor_paths(g, ms))
-                ncols = len(m.edge_index)
-                dense, sparse = _Reducer(ncols), _SparseReducer(ncols)
+                red = _SparseReducer(len(m.edge_index))
                 for row in m.rows:
-                    assert sparse.add(row) == dense.add(row)
-                    assert sparse.rank == dense.rank
-                for f in sparse.free():
-                    z = sparse.null_vector(f)
+                    red.add(row)
+                assert red.rank == fraction_rank(incidence_rows(m))
+                for f in red.free():
+                    z = red.null_vector(f)
                     assert all(sum([z.get(c, 0) for c in row]) == 0 for row in m.rows)
                 count += 1
         assert count == 2 * 27474
